@@ -102,10 +102,6 @@ class TrivariateLRC:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.sigma).min())
 
-    def is_near_singular(self) -> bool:
-        eig = np.linalg.eigvalsh(self.sigma)
-        return bool(eig.min() < _NEAR_SINGULAR_RATIO * max(eig.max(), 1e-300))
-
     def to_obj(self) -> dict:
         return {
             "sigma": self.sigma.tolist(),
@@ -285,24 +281,29 @@ def _long_run_sum(
 ) -> np.ndarray:
     """Truncated long-run covariance of centered series (..., 3, n).
 
-    The uniform n/(n-1) factor removes the lag-0 bias from mean estimation
-    (exact for independent data) without breaking positive semi-definiteness.
-    ``lag_out`` (max_lag+1, 3, 3), when given, accumulates the per-lag
-    covariance matrices summed over the batch (for tail-decay fitting).
+    The series are centred once into a row-major (C-order) block, so every
+    lagged operand is a contiguous run of each row. Lag i, clamped to n - 1,
+    fills slot i of a (..., L+1, 3, 3) tensor with one batched matmul of the
+    block against its lag-i shift; the truncation (default, all ones) or
+    Bartlett ``weights`` then enter through a single contraction over that
+    tensor. The uniform n/(n-1) factor removes the lag-0 bias from mean
+    estimation (exact for independent data) without breaking positive
+    semi-definiteness. ``lag_out`` (max_lag+1, 3, 3), when given, accumulates
+    the per-lag covariance matrices summed over the batch (for tail-decay
+    fitting).
     """
     n = series.shape[-1]
-    mean = series.mean(axis=-1, keepdims=True)
-    s = series - mean
-    out = np.einsum("...at,...bt->...ab", s, s) / n
+    L = min(max_lag, n - 1)
+    c = np.subtract(series, series.mean(axis=-1, keepdims=True), order="C")
+    lags = np.empty(c.shape[:-2] + (L + 1, 3, 3))
+    for i in range(L + 1):
+        np.matmul(c[..., i:], np.swapaxes(c[..., : n - i], -1, -2), out=lags[..., i, :, :])
+    lags /= n
     if lag_out is not None:
-        lag_out[0] += out.reshape(-1, 3, 3).sum(axis=0)
-    for i in range(1, min(max_lag, n - 1) + 1):
-        g = np.einsum("...at,...bt->...ab", s[..., i:], s[..., : n - i]) / n
-        if lag_out is not None:
-            lag_out[i] += g.reshape(-1, 3, 3).sum(axis=0)
-        w = 1.0 if weights is None else float(weights[i])
-        out = out + w * (g + np.swapaxes(g, -1, -2))
-    return out * (n / (n - 1.0))
+        lag_out[: L + 1] += lags.reshape(-1, L + 1, 3, 3).sum(axis=0)
+    w = np.ones(L) if weights is None else np.asarray(weights, dtype=np.float64)[1 : L + 1]
+    half = np.einsum("l,...lab->...ab", w, lags[..., 1:, :, :])
+    return (lags[..., 0, :, :] + half + np.swapaxes(half, -1, -2)) * (n / (n - 1.0))
 
 
 def _geometric_tail_bound(lag_norms: np.ndarray) -> float | None:

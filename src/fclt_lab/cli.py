@@ -255,6 +255,9 @@ def _cmd_mc(args) -> int:
     elif isinstance(tgt, dict):
         from .asymptotics import Gamma2
 
+        missing = [f"target.{k}" for k in ("g11", "g12", "g22") if k not in tgt]
+        if missing:
+            raise ParameterError(f"config lacks {', '.join(missing)}")
         target = Gamma2(g11=tgt["g11"], g22=tgt["g22"], g12=tgt["g12"], a_r=tgt.get("a_r", truth.a_r or 0.0))
 
     cfg = ExperimentConfig(

@@ -250,7 +250,9 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
 
     ``eps`` has shape (..., T); the first ``spec.pre_window`` entries seed the
     lag window (the state there is held at the fixed point) and the returned
-    values X_t = sigma_t eps_t have shape (..., T - pre_window). A non-finite
+    values X_t = sigma_t eps_t have shape (..., T - pre_window). The recursion
+    runs time-major, but the values are written straight into a new row-major
+    (C-order) array, so each batch row is contiguous in time. A non-finite
     or non-positive state raises DivergenceError naming the first offending
     step; with ``strict=False`` the affected batch rows come back as NaN so a
     caller can quarantine them individually.
@@ -280,22 +282,24 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
             lam[t] = acc
 
         body = lam[m:]
+        values = np.empty(eps.shape[:-1] + (T - m,))
+        sigma = np.moveaxis(values, -1, 0)  # time-major view of the row-major output
         if spec.is_exponential:
             bad = ~np.isfinite(body)
-            sigma = np.exp(0.5 * body)
+            np.exp(0.5 * body, out=sigma)
         else:
             bad = ~np.isfinite(body) | (body <= 0.0)
             d = spec.lam_exponent
             if d == 1.0:
-                sigma = np.sqrt(body)
+                np.sqrt(body, out=sigma)
             elif d == 0.5:
-                sigma = body  # state = sigma itself
+                sigma[...] = body  # state = sigma itself
             else:
-                sigma = body ** (0.5 / d)
+                np.power(body, 0.5 / d, out=sigma)
         if bad.any():
             if strict:
                 t_first = int(np.argwhere(np.any(bad.reshape(T - m, -1), axis=1))[0, 0])
                 raise DivergenceError(m + t_first, "non-finite or non-positive volatility state")
-            sigma = np.where(np.any(bad, axis=0, keepdims=True), np.nan, sigma)
-        values = sigma * e[m:]
-    return np.moveaxis(values, 0, -1)
+            values[np.any(bad, axis=0)] = np.nan
+        values *= eps[..., m:]
+    return values

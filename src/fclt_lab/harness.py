@@ -278,26 +278,7 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> CltReport:
     quarantined = cfg.reps - used
     if used < 2:
         raise RefusalError("all replications quarantined (non-finite estimates)")
-    y = y[finite]
-    mean, cov, se = _cov_and_se(y)
-    skew, kurt, skew_z, kurt_z = _moments_z(y)
-    z, verdict = _entry_verdicts(cov, se, cfg.target, cfg.se_threshold, used)
-    return CltReport(
-        empirical_mean=mean,
-        empirical_cov=cov,
-        cov_se=se,
-        target=cfg.target,
-        per_entry_z=z,
-        verdict=verdict,
-        marginal_skewness=skew,
-        marginal_excess_kurtosis=kurt,
-        skewness_z=skew_z,
-        kurtosis_z=kurt_z,
-        used=used,
-        quarantined=quarantined,
-        config_fingerprint=_config_fingerprint(cfg),
-        pilot_fingerprint=truth.pilot_fingerprint,
-    )
+    return _clt_from_samples(cfg, y[finite], used, quarantined)
 
 
 def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
@@ -357,8 +338,7 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
         corr[k] = num / np.where(den > 0, den, 1.0)
     corr_z = corr * math.sqrt(used)
 
-    clt_cfg = cfg
-    clt = _clt_from_samples(clt_cfg, y[:, -1, :], used, quarantined)
+    clt = _clt_from_samples(cfg, y[:, -1, :], used, quarantined)
     return FcltReport(
         t_grid=grid,
         prefix_fractions=fractions,
@@ -375,6 +355,7 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
 
 
 def _clt_from_samples(cfg: ExperimentConfig, y: np.ndarray, used: int, quarantined: int) -> CltReport:
+    """The CLT report of finite scaled estimator pairs y (used, 2)."""
     mean, cov, se = _cov_and_se(y)
     skew, kurt, skew_z, kurt_z = _moments_z(y)
     z, verdict = _entry_verdicts(cov, se, cfg.target, cfg.se_threshold, used)

@@ -75,7 +75,11 @@ class Functional:
             return cls("identity")
         if ":" in text:
             kind, arg = text.split(":", 1)
-            return cls(kind, float(arg))
+            try:
+                value = float(arg)
+            except ValueError:
+                raise ParameterError(f"functional {kind} needs a numeric argument, got {arg!r}") from None
+            return cls(kind, value)
         raise ParameterError(f"cannot parse functional {text!r} (use identity, abs_pow:R, indicator_leq:X)")
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fclt_lab.asymptotics import (
     Gamma2,
     TrivariateLRC,
+    _component_series,
+    _long_run_sum,
     bahadur_remainder,
     gamma_from_trivariate,
     iid_gamma,
@@ -176,6 +181,88 @@ def test_mc_reproducible_across_threads():
     b = trivariate_long_run_cov_mc(spec, 0.5, 2, threads=4, **kw)
     assert np.array_equal(a.sigma, b.sigma)
     assert np.array_equal(a.mc_se, b.mc_se)
+
+
+_MC_DIGEST_SCRIPT = """
+import hashlib
+from fclt_lab.asymptotics import trivariate_long_run_cov_mc
+from fclt_lab.garch import AugGarchSpec
+spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+lrc = trivariate_long_run_cov_mc(spec, 0.5, 2, q_true=0.0, f_at_q=0.4, max_lag=5,
+                                 n_per_rep=40_000, n_reps=4, seed=31, burn_in=100)
+h = hashlib.sha256()
+for part in (lrc.sigma, lrc.mc_se, lrc.rep_sigma):
+    h.update(part.tobytes())
+h.update(repr(lrc.tail_bound).encode())
+print(h.hexdigest())
+"""
+
+
+def test_mc_bytes_independent_of_blas_threads():
+    # 3 x 3 x 40000 per product: large enough for OpenBLAS to split a gemm
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = set()
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = subprocess.run(
+            [sys.executable, "-c", _MC_DIGEST_SCRIPT], env=env | blas, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64  # one sha256 hex digest
+
+
+# --- lag kernel ----------------------------------------------------------------------------
+
+
+def _reference_long_run(series, max_lag, weights=None):
+    """Plain double loop over lags and component pairs with exact sums."""
+    n = series.shape[-1]
+    c = [series[a] - math.fsum(series[a]) / n for a in range(3)]
+    lags = np.zeros((min(max_lag, n - 1) + 1, 3, 3))
+    for i in range(lags.shape[0]):
+        for a in range(3):
+            for b in range(3):
+                lags[i, a, b] = math.fsum(c[a][i:] * c[b][: n - i]) / n
+    w = np.ones(lags.shape[0]) if weights is None else weights
+    out = lags[0].copy()
+    for i in range(1, lags.shape[0]):
+        out += w[i] * (lags[i] + lags[i].T)
+    return out * (n / (n - 1.0)), lags
+
+
+@pytest.fixture(scope="module")
+def kernel_series():
+    # two dependent paths of the three component series, n = 400
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.3,), beta=(0.6,))
+    values = np.stack([simulate(spec, 400, seed=(41, rep)).values for rep in range(2)])
+    return _component_series(values, 2, -0.3)
+
+
+@pytest.mark.parametrize("max_lag", [0, 5, 399, 500])
+@pytest.mark.parametrize("bartlett", [False, True])
+@pytest.mark.parametrize("time_major", [False, True])
+def test_lag_kernel_matches_double_loop(kernel_series, max_lag, bartlett, time_major):
+    series = kernel_series
+    if time_major:  # (2, 3, n) view of a (n, 2, 3) block: strides (24, 8, 48)
+        series = np.moveaxis(np.ascontiguousarray(np.moveaxis(series, -1, 0)), 0, -1)
+        assert series.strides[-1] == 48
+    weights = 1.0 - np.arange(max_lag + 1) / (max_lag + 1.0) if bartlett else None
+    lag_out = np.zeros((max_lag + 1, 3, 3))
+    out = _long_run_sum(series, max_lag, weights=weights, lag_out=lag_out)
+    assert out.shape == (2, 3, 3)
+    lag_sum = np.zeros_like(lag_out)
+    for row in range(2):
+        ref, ref_lags = _reference_long_run(kernel_series[row], max_lag, weights)
+        # the relative error of a sum is bounded against the summed magnitudes
+        # of its terms: at L = n - 1 the centred lags cancel to ~0
+        scale = 2.0 * np.abs(ref_lags).sum(axis=0).max()
+        np.testing.assert_allclose(out[row], ref, rtol=1e-12, atol=1e-12 * scale)
+        lag_sum[: ref_lags.shape[0]] += ref_lags
+    np.testing.assert_allclose(lag_out, lag_sum, rtol=1e-12, atol=1e-12 * np.abs(lag_sum).max())
+    if max_lag > 399:  # clamped to n - 1: the lags beyond stay untouched
+        assert not lag_out[400:].any()
 
 
 # --- single-path HAC -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fclt_lab.processes import (
     path_from_csv,
     path_to_csv,
     simulate,
+    simulate_batch,
     simulate_iid,
     spec_fingerprint,
     spec_from_json,
@@ -115,3 +116,19 @@ def test_stationarity_smoke_two_window_agreement():
             halves.append((estimator(part), ests.std(ddof=1) / np.sqrt(len(blocks))))
         (e1, s1), (e2, s2) = halves
         assert abs(e1 - e2) < 5.0 * np.hypot(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,)),
+        AugGarchSpec(model="egarch", p=1, q=1, omega=0.0, alpha=(0.1,), beta=(0.5,), gamma=(-0.1,)),
+        ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))),
+    ],
+    ids=["garch", "egarch", "arma_garch"],
+)
+def test_simulate_batch_rows_are_contiguous_single_paths(spec):
+    block = simulate_batch(spec, 300, 50, 11, range(2, 6))
+    assert block.shape == (4, 300) and block.strides[-1] == block.itemsize
+    for row, rep in zip(block, range(2, 6)):
+        assert np.array_equal(row, simulate(spec, 300, burn_in=50, seed=(11, rep)).values)
