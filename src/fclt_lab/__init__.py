@@ -49,9 +49,6 @@ from .processes import (
     IidSpec,
     Path,
     simulate,
-    simulate_arma,
-    simulate_augmented_garch,
-    simulate_iid,
     spec_from_json,
     spec_to_json,
 )

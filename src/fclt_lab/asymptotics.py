@@ -24,7 +24,6 @@ import numpy as np
 from .conditions import approve
 from .errors import ParameterError, RefusalError, SingularityError
 from .estimators import (
-    centred_abs_moment,
     empirical_cdf,
     known_mean_abs_moment,
     sample_mean,
@@ -148,35 +147,15 @@ def a_r_from_sample(values, r: int, mu: float = 0.0) -> float:
 def iid_gamma(dist: InnovationDist, p: float, r: int, q_true: float | None = None, f_at_q: float | None = None) -> Gamma2:
     """Limit covariance for an iid sample from ``dist``, by quadrature.
 
-    Entries: g11 = p(1-p)/f^2; g22 = a^2 Var(X) + Var(|X|^r) - 2a Cov(X, |X|^r);
+    The congruence of the iid trivariate closed form: g11 = p(1-p)/f^2;
+    g22 = a^2 Var(X) + Var(|X|^r) - 2a Cov(X, |X|^r);
     g12 = (a Cov(ind, X) - Cov(ind, |X|^r)) / f with ind = 1(X <= q).
     """
     if not 0 < p < 1:
         raise ParameterError("p must lie in (0,1)")
     if r < 1:
         raise ParameterError("r must be a positive integer")
-    if dist.is_discrete:
-        raise SingularityError("iid closed form needs a continuous law with positive density")
-    q = float(dist.ppf(p)) if q_true is None else float(q_true)
-    f = float(dist.pdf(q)) if f_at_q is None else float(f_at_q)
-    if not f > 0:
-        raise SingularityError(f"density at the quantile must be > 0, got {f}")
-
-    mu = dist.expect(lambda x: x)
-    ex2 = dist.expect(np.square)
-    sigma2 = ex2 - mu * mu
-    m_r = dist.expect(lambda x: np.abs(x) ** r)
-    m_2r = dist.expect(lambda x: np.abs(x) ** (2 * r))
-    var_abs = m_2r - m_r * m_r
-    a = a_r_quadrature(dist, r)
-    cov_x_absr = dist.expect(lambda x: x * np.abs(x) ** r) - mu * m_r
-    cov_ind_x = _partial_expect(dist, lambda x: x, q) - p * mu
-    cov_ind_absr = _partial_expect(dist, lambda x: np.abs(x) ** r, q) - p * m_r
-
-    g11 = p * (1.0 - p) / (f * f)
-    g22 = a * a * sigma2 + var_abs - 2.0 * a * cov_x_absr
-    g12 = (a * cov_ind_x - cov_ind_absr) / f
-    return Gamma2(g11=float(g11), g22=float(g22), g12=float(g12), a_r=float(a))
+    return gamma_from_trivariate(trivariate_iid_closed_form(dist, p, r, q_true, f_at_q), a_r_quadrature(dist, r))
 
 
 def _partial_expect(dist: InnovationDist, h, upper: float) -> float:
@@ -368,6 +347,8 @@ def trivariate_long_run_cov_mc(
         raise ParameterError("max_lag must be >= 0")
     if n_reps < 2:
         raise ParameterError("n_reps must be >= 2")
+    if n_per_rep < 2:
+        raise ParameterError("n_per_rep must be >= 2")
     if not f_at_q > 0:
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
     if check_conditions:
@@ -476,25 +457,26 @@ def trivariate_long_run_cov_hac(path_or_values, p: float, r: int, bandwidth: int
 # --- remainder terms ---------------------------------------------------------------
 
 
-def bahadur_remainder(path_or_values, p: float, q_true: float, f_at_q: float) -> float:
+def bahadur_remainder(path_or_values, p: float, q_true: float, f_at_q: float):
     """Residual of the quantile linearization q_n(p) ~ q + (p - F_n(q)) / f(q).
 
     R_n = q_n(p) - q - (p - F_n(q)) / f(q), which is o_P(1/sqrt(n)) under the
     theory; the subtraction orientation is the one the limit argument uses
     (the indicator average plus the remainder reconstructs q_n(p) - q).
+    Reduces over the last axis: a float per 1-d sample, one value per row
+    of a block.
     """
     if not f_at_q > 0:
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
-    values = np.asarray(getattr(path_or_values, "values", path_or_values), dtype=np.float64)
-    q_hat = sample_quantile(values, p)
-    return q_hat - q_true - (p - empirical_cdf(values, q_true)) / f_at_q
+    q_hat = sample_quantile(path_or_values, p)
+    return q_hat - q_true - (p - empirical_cdf(path_or_values, q_true)) / f_at_q
 
 
-def representation_gap(path_or_values, r: int, mu_true: float, a_r_true: float) -> float:
-    """sqrt(n) residual of the known-mean representation of the moment estimator."""
+def representation_gap(path_or_values, r: int, mu_true: float, a_r_true: float):
+    """sqrt(n) residual of the known-mean representation of the moment
+    estimator, reduced over the last axis like ``bahadur_remainder``."""
     values = np.asarray(getattr(path_or_values, "values", path_or_values), dtype=np.float64)
-    n = values.shape[0]
-    m_hat = centred_abs_moment(values, r)
-    m_known = known_mean_abs_moment(values, r, mu_true)
     mean = sample_mean(values)
-    return math.sqrt(n) * (m_hat - m_known + (mean - mu_true) * a_r_true)
+    m_hat = known_mean_abs_moment(values, r, mean)
+    m_known = known_mean_abs_moment(values, r, mu_true)
+    return math.sqrt(values.shape[-1]) * (m_hat - m_known + (mean - mu_true) * a_r_true)

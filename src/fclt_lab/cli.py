@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -258,7 +259,18 @@ def _cmd_mc(args) -> int:
         missing = [f"target.{k}" for k in ("g11", "g12", "g22") if k not in tgt]
         if missing:
             raise ParameterError(f"config lacks {', '.join(missing)}")
-        target = Gamma2(g11=tgt["g11"], g22=tgt["g22"], g12=tgt["g12"], a_r=tgt.get("a_r", truth.a_r or 0.0))
+
+        def entry(key, default=None):
+            raw = tgt.get(key, default)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParameterError(f"target.{key} must be a finite number, got {raw!r}")
+            return value
+
+        target = Gamma2(g11=entry("g11"), g22=entry("g22"), g12=entry("g12"), a_r=entry("a_r", truth.a_r or 0.0))
 
     cfg = ExperimentConfig(
         spec=spec,

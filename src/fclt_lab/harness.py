@@ -2,10 +2,11 @@
 their theoretical targets.
 
 Each experiment simulates M independent replications (stream (seed, rep)),
-computes the scaled centered estimator pair per replication, and compares
-empirical covariances against a target with per-entry Monte Carlo standard
-errors. Replications run in fixed-size chunks whose boundaries do not depend
-on the worker count, so reports are byte-identical for any --threads value.
+computes the scaled centered estimator pair of every replication at once on
+each (replications x time) chunk, and compares empirical covariances against
+a target with per-entry Monte Carlo standard errors. Replications run in
+fixed-size chunks whose boundaries do not depend on the worker count, so
+reports are byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -244,17 +245,16 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(desc.encode()).hexdigest()[:16]
 
 
-def _simulate_stats(cfg: ExperimentConfig, n: int, per_rep, width: int, threads: int) -> np.ndarray:
-    """Run per_rep(values_row) over M replications into an (M, width) array."""
-    out = np.empty((cfg.reps, width))
+def _simulate_stats(cfg: ExperimentConfig, n: int, stat, threads: int) -> np.ndarray:
+    """Apply stat to each (B, n) chunk of the M replications; rows stack to (M, ...)."""
+    parts = [None] * ((cfg.reps + cfg.chunk_size - 1) // cfg.chunk_size)
 
     def task(start, stop):
         values = simulate_batch(cfg.spec, n, cfg.burn_in, cfg.seed, range(start, stop))
-        for row in range(stop - start):
-            out[start + row] = per_rep(values[row])
+        parts[start // cfg.chunk_size] = stat(values)
 
     run_chunked(cfg.reps, task, chunk_size=cfg.chunk_size, threads=threads)
-    return out
+    return np.concatenate(parts)
 
 
 # --- experiments ------------------------------------------------------------------
@@ -266,13 +266,12 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> CltReport:
     truth = cfg.truth
     root_n = math.sqrt(cfg.n)
 
-    def per_rep(values):
-        return (
-            root_n * (sample_quantile(values, cfg.p) - truth.q_true),
-            root_n * (centred_abs_moment(values, cfg.r) - truth.m_true),
-        )
+    def stat(values):
+        m_hat = centred_abs_moment(values, cfg.r)
+        q_hat = sample_quantile(values, cfg.p)
+        return np.stack([root_n * (q_hat - truth.q_true), root_n * (m_hat - truth.m_true)], axis=-1)
 
-    y = _simulate_stats(cfg, cfg.n, per_rep, 2, threads)
+    y = _simulate_stats(cfg, cfg.n, stat, threads)
     finite = np.isfinite(y).all(axis=1)
     used = int(finite.sum())
     quarantined = cfg.reps - used
@@ -294,15 +293,14 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
     root_n = math.sqrt(cfg.n)
     fractions = tuple(math.floor(cfg.n * t) / cfg.n for t in grid)
 
-    def per_rep(values):
-        pairs = partial_sum_process(values, cfg.p, cfg.r, grid)
-        out = []
-        for frac, pair in zip(fractions, pairs):
-            out.append(root_n * frac * (pair.q_hat - truth.q_true))
-            out.append(root_n * frac * (pair.m_hat - truth.m_true))
-        return tuple(out)
+    def stat(values):
+        cols = []
+        for frac, pair in zip(fractions, partial_sum_process(values, cfg.p, cfg.r, grid)):
+            cols.append(root_n * frac * (pair.q_hat - truth.q_true))
+            cols.append(root_n * frac * (pair.m_hat - truth.m_true))
+        return np.stack(cols, axis=-1)
 
-    flat = _simulate_stats(cfg, cfg.n, per_rep, 2 * len(grid), threads)
+    flat = _simulate_stats(cfg, cfg.n, stat, threads)
     finite = np.isfinite(flat).all(axis=1)
     used = int(finite.sum())
     quarantined = cfg.reps - used
@@ -387,14 +385,13 @@ def _decay_verdict(series_list: list[tuple[float, ...]], n_count: int) -> str:
     return "pass"
 
 
-def _run_ladder(cfg: ExperimentConfig, statistic: str, per_rep_factory, decay_on: str, threads: int) -> DecayTable:
+def _run_ladder(cfg: ExperimentConfig, statistic: str, stat, decay_on: str, threads: int) -> DecayTable:
     if not cfg.n_ladder:
         raise ParameterError("ladder experiment needs n_ladder")
     ladder = tuple(int(n) for n in cfg.n_ladder)
     med, p90, std, se, used_n, quar_n = [], [], [], [], [], []
     for n in ladder:
-        per_rep = per_rep_factory(n)
-        vals = _simulate_stats(cfg, n, per_rep, 1, threads)[:, 0]
+        vals = _simulate_stats(cfg, n, stat, threads)
         finite = np.isfinite(vals)
         used = int(finite.sum())
         vals = vals[finite]
@@ -429,15 +426,10 @@ def run_bahadur_experiment(cfg: ExperimentConfig, threads: int = 1) -> DecayTabl
     _refuse_if_inadmissible(cfg, require=("q_true",))
     truth = cfg.truth
 
-    def factory(n):
-        root_n = math.sqrt(n)
+    def stat(values):
+        return math.sqrt(values.shape[-1]) * bahadur_remainder(values, cfg.p, truth.q_true, truth.f_at_q)
 
-        def per_rep(values):
-            return (root_n * bahadur_remainder(values, cfg.p, truth.q_true, truth.f_at_q),)
-
-        return per_rep
-
-    return _run_ladder(cfg, "sqrt(n) * bahadur remainder", factory, "median+p90", threads)
+    return _run_ladder(cfg, "sqrt(n) * bahadur remainder", stat, "median+p90", threads)
 
 
 def run_representation_experiment(cfg: ExperimentConfig, threads: int = 1) -> DecayTable:
@@ -449,10 +441,7 @@ def run_representation_experiment(cfg: ExperimentConfig, threads: int = 1) -> De
     _refuse_if_inadmissible(cfg, require=("mu", "a_r"), need_density=False)
     truth = cfg.truth
 
-    def factory(n):
-        def per_rep(values):
-            return (representation_gap(values, cfg.r, truth.mu, truth.a_r),)
+    def stat(values):
+        return representation_gap(values, cfg.r, truth.mu, truth.a_r)
 
-        return per_rep
-
-    return _run_ladder(cfg, "moment representation gap", factory, "std", threads)
+    return _run_ladder(cfg, "moment representation gap", stat, "std", threads)

@@ -26,9 +26,6 @@ __all__ = [
     "ProcessSpec",
     "Path",
     "simulate",
-    "simulate_iid",
-    "simulate_augmented_garch",
-    "simulate_arma",
     "values_from_innovations",
     "innovation_driver",
     "spec_to_json",
@@ -205,75 +202,49 @@ def pre_window(spec: ProcessSpec) -> int:
     return 0
 
 
-def simulate_iid(dist: InnovationDist, n: int, seed) -> Path:
+def _simulate_rows(spec: ProcessSpec, n: int, burn_in: int | None, keys: list, strict: bool) -> tuple[np.ndarray, int]:
+    """Draw-and-recurse core of the seeded simulators.
+
+    Row i is driven by the Philox stream ``keys[i]`` and holds the n values
+    after the burn-in, which is returned alongside (iid specs take none).
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    rng = stream_generator(seed)
-    values = dist.sample(rng, n)
-    return Path(values, spec_fingerprint(IidSpec(dist)), seed_key(seed), 0)
-
-
-def simulate_augmented_garch(spec: AugGarchSpec, n: int, burn_in: int | None = None, seed=0) -> Path:
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if burn_in is None:
-        burn_in = default_burn_in(spec)
-    if burn_in < 0:
+    if isinstance(spec, IidSpec):
+        burn = 0
+    else:
+        burn = default_burn_in(spec) if burn_in is None else burn_in
+    if burn < 0:
         raise ParameterError("burn_in must be >= 0")
-    rng = stream_generator(seed)
-    eps = spec.innovation.sample(rng, spec.pre_window + burn_in + n)
-    values = garch_values_from_innovations(spec, eps)[burn_in:]
-    return Path(values, spec_fingerprint(spec), seed_key(seed), burn_in)
-
-
-def simulate_arma(spec: ArmaSpec, n: int, burn_in: int | None = None, seed=0) -> Path:
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    spec.require_causal()
-    if burn_in is None:
-        burn_in = max(default_burn_in(spec), 0)
-    if burn_in < 0:
-        raise ParameterError("burn_in must be >= 0")
-    rng = stream_generator(seed)
-    total = pre_window(spec) + burn_in + n
-    eps = innovation_driver(spec).sample(rng, total)
-    values = values_from_innovations(spec, eps)[burn_in:]
-    return Path(values, spec_fingerprint(spec), seed_key(seed), burn_in)
+    if isinstance(spec, ArmaSpec):
+        spec.require_causal()
+    total = pre_window(spec) + burn + n
+    dist = innovation_driver(spec)
+    eps = np.empty((len(keys), total))
+    for row, key in enumerate(keys):
+        eps[row] = dist.sample(stream_generator(key), total)
+    return values_from_innovations(spec, eps, strict=strict)[:, burn:], burn
 
 
 def simulate(spec: ProcessSpec, n: int, burn_in: int | None = None, seed=0) -> Path:
-    """Seeded simulation dispatch for any ProcessSpec."""
-    if isinstance(spec, IidSpec):
-        return simulate_iid(spec.innovation, n, seed)
-    if isinstance(spec, AugGarchSpec):
-        return simulate_augmented_garch(spec, n, burn_in, seed)
-    if isinstance(spec, ArmaSpec):
-        return simulate_arma(spec, n, burn_in, seed)
-    raise ParameterError(f"unknown spec type {type(spec).__name__}")
+    """One path from the stream ``seed``; a diverging volatility state raises.
+
+    ``burn_in`` defaults to max(1000, 20(p+q)) steps and is ignored for iid
+    specs.
+    """
+    values, burn = _simulate_rows(spec, n, burn_in, [seed_key(seed)], strict=True)
+    return Path(values[0], spec_fingerprint(spec), seed_key(seed), burn)
 
 
 def simulate_batch(spec: ProcessSpec, n: int, burn_in: int | None, seed, reps: range) -> np.ndarray:
     """Simulate a batch of replications, row r from stream (seed, r).
 
-    Row r is produced from the same innovation stream a single run with
-    seed=(seed, r) would use; the rows are stacked and the recursion runs
-    vectorized across the batch.
+    Row r is the path ``simulate(spec, n, burn_in, seed=(seed, r))`` returns
+    for an integer seed; the recursion runs vectorized across the batch, and
+    a diverging replication becomes a NaN row for quarantining.
     """
-    if isinstance(spec, IidSpec):
-        burn = 0
-    elif burn_in is None:
-        burn = default_burn_in(spec)
-    else:
-        burn = burn_in
-    if isinstance(spec, ArmaSpec):
-        spec.require_causal()
-    total = pre_window(spec) + burn + n
-    dist = innovation_driver(spec)
-    eps = np.empty((len(reps), total))
-    for row, rep in enumerate(reps):
-        eps[row] = dist.sample(stream_generator(seed, rep), total)
-    # non-strict: a diverging replication becomes a NaN row for quarantining
-    return values_from_innovations(spec, eps, strict=False)[:, burn:]
+    key = seed_key(seed)
+    return _simulate_rows(spec, n, burn_in, [key + (rep,) for rep in reps], strict=False)[0]
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .garch import AugGarchSpec
 from .innovations import InnovationDist
 from .parallel import run_chunked
 from .processes import IidSpec, ProcessSpec, simulate_batch, spec_fingerprint
-from .estimators import sample_quantile
+from .estimators import known_mean_abs_moment, sample_mean, sample_quantile
 
 __all__ = ["Truth", "closed_form_truth", "pilot_truth", "truth_from_sample", "resolve_truth"]
 
@@ -138,8 +138,8 @@ def truth_from_sample(values: np.ndarray, p: float, r: int, provenance_tag: str 
         f = gaussian_kde_at(x, q)
     except Exception:
         f = None
-    mu = float(x.mean())
-    m_true = float(np.mean(np.abs(x - mu) ** r))
+    mu = sample_mean(x)
+    m_true = known_mean_abs_moment(x, r, mu)  # the centred moment, mean not recomputed
     a_r = a_r_from_sample(x, r, mu)
     tags = {k: provenance_tag for k in ("q_true", "f_at_q", "mu", "m_true", "a_r")}
     return Truth(q, f, mu, m_true, a_r, p, r, provenance=tags)

@@ -7,7 +7,7 @@ from fclt_lab.conditions import approve
 from fclt_lab.errors import NonCausalError, ParameterError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.processes import simulate_arma, values_from_innovations
+from fclt_lab.processes import simulate, values_from_innovations
 from fclt_lab.rng import stream_generator
 
 NORMAL = InnovationDist()
@@ -16,7 +16,7 @@ NORMAL = InnovationDist()
 def test_degenerate_ar_returns_innovations():
     spec = ArmaSpec(phi=(0.0,))
     burn = 30
-    path = simulate_arma(spec, 100, burn_in=burn, seed=19)
+    path = simulate(spec, 100, burn_in=burn, seed=19)
     eps = NORMAL.sample(stream_generator(19), burn + 100)
     assert np.array_equal(path.values, eps[burn:])
 
@@ -24,7 +24,7 @@ def test_degenerate_ar_returns_innovations():
 def test_ar1_lag_one_autocorrelation():
     # paper convention Phi(z) = 1 + phi z with phi = -0.5: rho(1) = 0.5
     spec = ArmaSpec(phi=(-0.5,))
-    x = simulate_arma(spec, 10**6, seed=4).values
+    x = simulate(spec, 10**6, seed=4).values
     rho = np.corrcoef(x[1:], x[:-1])[0, 1]
     assert rho == pytest.approx(0.5, abs=0.01)
 
@@ -35,7 +35,7 @@ def test_arma_garch_is_stable():
     spec = ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=inner)
     ok, reports = approve(spec, 1)
     assert ok, reports
-    x = simulate_arma(spec, 10**6, seed=6).values
+    x = simulate(spec, 10**6, seed=6).values
     assert np.isfinite(x).all()
     assert 0.5 < x.var() < 10.0
 
@@ -65,7 +65,7 @@ def test_ma_coefficients_match_impulse_response_oracle():
 def test_non_causal_spec_rejected_with_modulus():
     spec = ArmaSpec(phi=(-1.0,))  # unit root
     with pytest.raises(NonCausalError) as err:
-        simulate_arma(spec, 100, seed=1)
+        simulate(spec, 100, seed=1)
     assert err.value.min_root_modulus == pytest.approx(1.0)
     with pytest.raises(NonCausalError):
         causal_ma_coefficients(spec, 5)

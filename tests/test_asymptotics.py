@@ -21,7 +21,7 @@ from fclt_lab.asymptotics import (
     trivariate_long_run_cov_mc,
 )
 from fclt_lab.arma import ArmaSpec
-from fclt_lab.errors import RefusalError, SingularityError
+from fclt_lab.errors import ParameterError, RefusalError, SingularityError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.innovations import InnovationDist
 from fclt_lab.processes import IidSpec, simulate
@@ -143,6 +143,11 @@ def test_mc_refuses_inadmissible_spec():
     with pytest.raises(RefusalError) as err:
         trivariate_long_run_cov_mc(bad, 0.5, 1, q_true=0.0, f_at_q=0.4, n_per_rep=100, n_reps=10, seed=1)
     assert any(rep.condition_name == "causality" for rep in err.value.reports)
+
+
+def test_mc_refuses_single_step_paths():
+    with pytest.raises(ParameterError, match="n_per_rep"):
+        trivariate_long_run_cov_mc(IidSpec(NORMAL), 0.5, 2, q_true=0.0, f_at_q=0.4, n_per_rep=1, n_reps=4, seed=1)
 
 
 def test_mc_ar1_long_run_variance_of_u():

@@ -196,6 +196,36 @@ def test_mc_target_missing_entry_exits_2(garch_spec_file, tmp_path, capsys):
     _assert_one_line_error(capsys, "target.g22")
 
 
+def test_mc_target_non_numeric_entry_exits_2(garch_spec_file, tmp_path, capsys):
+    cfg = {
+        "spec": json.loads((tmp_path / "garch.json").read_text()),
+        "experiment": "clt",
+        "n": 50,
+        "reps": 4,
+        "truth": {"q_true": 0.0, "f_at_q": 0.4, "mu": 0.0, "m_true": 1.0, "a_r": 0.0},
+        "target": {"g11": "x", "g12": 0.0, "g22": 2.0},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path)]) == 2
+    _assert_one_line_error(capsys, "target.g11")
+
+
+def test_mc_replication_target_one_step_paths_exits_2(garch_spec_file, tmp_path, capsys):
+    cfg = {
+        "spec": json.loads((tmp_path / "garch.json").read_text()),
+        "experiment": "clt",
+        "n": 1,
+        "reps": 4,
+        "truth": {"q_true": 0.0, "f_at_q": 0.4, "mu": 0.0, "m_true": 1.0, "a_r": 0.0},
+        "target": "replication_mc",
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path)]) == 2
+    _assert_one_line_error(capsys, "n_per_rep")
+
+
 def test_ned_scan_non_numeric_functional_exits_2(garch_spec_file, capsys):
     argv = ["ned-scan", "--spec", garch_spec_file, "--functional", "abs_pow:x", "--kmax", "2"]
     assert main(argv) == 2

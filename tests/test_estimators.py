@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fclt_lab.asymptotics import bahadur_remainder, representation_gap
 from fclt_lab.errors import ParameterError
 from fclt_lab.estimators import (
     centred_abs_moment,
@@ -11,8 +12,11 @@ from fclt_lab.estimators import (
     estimator_vector,
     known_mean_abs_moment,
     partial_sum_process,
+    sample_mean,
     sample_quantile,
 )
+from fclt_lab.garch import AugGarchSpec
+from fclt_lab.processes import simulate_batch
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -133,3 +137,55 @@ def test_estimate_pair_invariants(values, p, r):
     pair = estimator_vector(x, p, r)
     assert pair.m_hat >= 0.0
     assert x.min() <= pair.q_hat <= x.max()
+
+
+# --- block contract -----------------------------------------------------------------
+
+
+def _garch_block():
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    block = simulate_batch(spec, 301, 50, 4, range(6)).copy()
+    block[3] = np.nan  # a quarantined (diverged) replication
+    return block
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("prefix", [False, True], ids=["rows", "prefix_view"])
+def test_block_rows_equal_single_calls(r, prefix):
+    block = _garch_block()
+    if prefix:
+        block = block[:, :200]  # strided rows, as the prefix grid uses them
+    estimators = {
+        "quantile": lambda x: sample_quantile(x, 0.9),
+        "mean": sample_mean,
+        "known_mean_moment": lambda x: known_mean_abs_moment(x, r, 0.1),
+        "centred_moment": lambda x: centred_abs_moment(x, r),
+        "cdf": lambda x: empirical_cdf(x, 0.5),
+        "bahadur": lambda x: bahadur_remainder(x, 0.9, 1.2, 0.3),
+        "representation": lambda x: representation_gap(x, r, 0.0, 0.4),
+    }
+    for name, fn in estimators.items():
+        rows = fn(block)
+        assert rows.shape == (block.shape[0],), name
+        singles = [fn(row) for row in block]
+        assert all(type(v) is float for v in singles), name
+        assert np.array_equal(rows, np.array(singles), equal_nan=True), name
+        if name != "cdf":  # the quarantined row must stay non-finite
+            assert not np.isfinite(rows[3]) and np.isfinite(np.delete(rows, 3)).all(), name
+
+
+def test_block_estimator_vector_and_prefixes():
+    block = _garch_block()
+    pairs = partial_sum_process(block, 0.5, 2, [0.5, 1.0])
+    for pair, m in zip(pairs, (150, 301)):
+        assert pair.n == m
+        for i, row in enumerate(block):
+            single = estimator_vector(row[:m], 0.5, 2)
+            assert np.array_equal([pair.q_hat[i], pair.m_hat[i]], [single.q_hat, single.m_hat], equal_nan=True)
+
+
+def test_estimators_reject_scalars_and_empty_rows():
+    with pytest.raises(ParameterError):
+        sample_quantile(np.float64(1.0), 0.5)
+    with pytest.raises(ParameterError):
+        centred_abs_moment(np.empty((3, 0)), 2)

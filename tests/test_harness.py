@@ -80,6 +80,14 @@ def test_reports_identical_across_thread_counts():
     assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(b.to_obj(), sort_keys=True)
 
 
+def test_reports_identical_across_chunk_sizes():
+    # each replication's statistic is computed from its own row, whatever
+    # block the row arrives in
+    for run, extra in ((run_clt_experiment, {}), (run_bahadur_experiment, {"n_ladder": (200, 800)})):
+        a, b = (run(iid_cfg(reps=300, n=500, chunk_size=size, **extra)) for size in (64, 256))
+        assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(b.to_obj(), sort_keys=True)
+
+
 def test_fclt_t1_reproduces_clt_exactly():
     cfg = iid_cfg(reps=200, n=1000, t_grid=(0.5, 1.0))
     frep = run_fclt_experiment(cfg)

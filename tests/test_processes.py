@@ -14,7 +14,6 @@ from fclt_lab.processes import (
     path_to_csv,
     simulate,
     simulate_batch,
-    simulate_iid,
     spec_fingerprint,
     spec_from_json,
     spec_to_json,
@@ -23,19 +22,19 @@ from fclt_lab.estimators import centred_abs_moment, sample_quantile
 
 
 def test_rademacher_values_in_support():
-    path = simulate_iid(InnovationDist("rademacher"), 4, seed=7)
+    path = simulate(IidSpec(InnovationDist("rademacher")), 4, seed=7)
     assert set(np.unique(path.values)) <= {-1.0, 1.0}
 
 
 def test_large_sample_mean_small():
     # MC error 1/sqrt(n) ~ 0.001; 5 sigma bound
-    path = simulate_iid(InnovationDist(), 10**6, seed=21)
+    path = simulate(IidSpec(InnovationDist()), 10**6, seed=21)
     assert abs(path.values.mean()) < 0.005
 
 
 def test_identical_seed_identical_path():
-    a = simulate_iid(InnovationDist(), 64, seed=9)
-    b = simulate_iid(InnovationDist(), 64, seed=9)
+    a = simulate(IidSpec(InnovationDist()), 64, seed=9)
+    b = simulate(IidSpec(InnovationDist()), 64, seed=9)
     assert np.array_equal(a.values, b.values)
     assert a.spec_fingerprint == b.spec_fingerprint
 
@@ -50,11 +49,11 @@ def test_garch_resimulation_bit_exact():
 
 def test_n_must_be_positive():
     with pytest.raises(ParameterError):
-        simulate_iid(InnovationDist(), 0, seed=1)
+        simulate(IidSpec(InnovationDist()), 0, seed=1)
 
 
 def test_path_values_read_only():
-    path = simulate_iid(InnovationDist(), 8, seed=1)
+    path = simulate(IidSpec(InnovationDist()), 8, seed=1)
     with pytest.raises(ValueError):
         path.values[0] = 0.0
 
@@ -90,7 +89,7 @@ def test_spec_json_keys_follow_schema():
 
 
 def test_path_csv_roundtrip():
-    path = simulate_iid(InnovationDist(), 32, seed=11)
+    path = simulate(IidSpec(InnovationDist()), 32, seed=11)
     buf = io.StringIO()
     path_to_csv(path, buf, comments=["manifest_hash=abc"])
     buf.seek(0)
@@ -132,3 +131,33 @@ def test_simulate_batch_rows_are_contiguous_single_paths(spec):
     assert block.shape == (4, 300) and block.strides[-1] == block.itemsize
     for row, rep in zip(block, range(2, 6)):
         assert np.array_equal(row, simulate(spec, 300, burn_in=50, seed=(11, rep)).values)
+
+
+def test_simulate_streams_are_pinned():
+    # values recorded from the per-spec simulators that preceded the shared
+    # draw-and-recurse core; a change to the streams or the recursion shows here
+    garch = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    expected = {
+        "garch": (garch, ["-0.9470614730286256", "0.13889910609161835", "0.810254171862886", "1.1502941431489142"]),
+        "arma_garch": (
+            ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=garch),
+            ["-0.4630604500750994", "-0.37674956085451905", "0.6635491232631119", "1.725144956339336"],
+        ),
+        "iid": (
+            IidSpec(InnovationDist("student_t", dof=6.0)),
+            ["-0.11554311504352348", "0.7825811867173248", "-0.2905608869211067", "-1.8360150903988943"],
+        ),
+    }
+    for name, (spec, values) in expected.items():
+        path = simulate(spec, 4, burn_in=20, seed=(7, 3))
+        assert [repr(float(v)) for v in path.values] == values, name
+        assert path.seed == (7, 3) and path.burn_in == (0 if name == "iid" else 20)
+
+
+def test_simulate_checks_n_and_burn_in():
+    garch = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    for call in (lambda: simulate(garch, 0), lambda: simulate(garch, 10, burn_in=-1),
+                 lambda: simulate_batch(garch, 0, None, 1, range(2)),
+                 lambda: simulate_batch(garch, 10, -1, 1, range(2))):
+        with pytest.raises(ParameterError):
+            call()
