@@ -14,6 +14,12 @@ recursion, state0 = <g> / (1 - <c>) with <g> = sum_i E[g_i(eps)] and
 <c> = sum_j E[c_j(eps)], and a burn-in (default max(1000, 20(p+q))) is
 discarded; geometric forgetting makes the initialization bias negligible
 relative to Monte Carlo error.
+
+The recursion runs over time tiles of about 1 MiB of state (the width is set by
+the batch width alone). Each evaluates the transforms on a time-major copy of its
+innovations and pre-window, updates the state rows in place in the order
+((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ... and carries its last pre-window
+states on: the bits do not depend on the tiling; memory is output + O(batch x tile).
 """
 
 from __future__ import annotations
@@ -248,14 +254,13 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
     """Run the volatility recursion over given innovations, vectorized over
     leading axes.
 
-    ``eps`` has shape (..., T); the first ``spec.pre_window`` entries seed the
-    lag window (the state there is held at the fixed point) and the returned
-    values X_t = sigma_t eps_t have shape (..., T - pre_window). The recursion
-    runs time-major, but the values are written straight into a new row-major
-    (C-order) array, so each batch row is contiguous in time. A non-finite
-    or non-positive state raises DivergenceError naming the first offending
-    step; with ``strict=False`` the affected batch rows come back as NaN so a
-    caller can quarantine them individually.
+    ``eps`` has shape (..., T); the first m = ``spec.pre_window`` entries seed
+    the lag window (the state there is held at the fixed point) and the
+    returned values X_t = sigma_t eps_t have shape (..., T - m), row-major.
+    Memory is the output plus one time tile of state (module docstring). A
+    non-finite or non-positive state raises DivergenceError naming the first
+    offending step; with ``strict=False`` the affected batch rows come back as
+    NaN so a caller can quarantine them individually.
     """
     eps = np.asarray(eps, dtype=np.float64)
     g_list = spec.g_transforms()
@@ -265,41 +270,36 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
     if T <= m:
         raise ParameterError(f"need more than pre_window={m} innovations, got {T}")
 
-    e = np.moveaxis(eps, -1, 0)  # (T, batch...)
+    rows = eps.reshape(-1, T)
+    B = rows.shape[0]
+    values = np.empty((B, T - m))
+    width = min(T - m, max(16, 2**20 // (8 * max(B, 1))))
+    lam = np.full((m + width, B), spec.state_fixed_point())  # m carried states, then a tile
+    lam_rows, tmp, diverged = list(lam), np.empty(B), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        G = np.zeros(e.shape, dtype=np.float64)
-        for i, g in enumerate(g_list, start=1):
-            gi = np.broadcast_to(g(e), e.shape)
-            G[i:] += gi[: T - i]
-        C = [np.broadcast_to(c(e), e.shape) for c in c_list]
-
-        lam = np.empty_like(G)
-        lam[:m] = spec.state_fixed_point()
-        for t in range(m, T):
-            acc = G[t]
-            for j, Cj in enumerate(C, start=1):
-                acc = acc + Cj[t - j] * lam[t - j]
-            lam[t] = acc
-
-        body = lam[m:]
-        values = np.empty(eps.shape[:-1] + (T - m,))
-        sigma = np.moveaxis(values, -1, 0)  # time-major view of the row-major output
-        if spec.is_exponential:
-            bad = ~np.isfinite(body)
-            np.exp(0.5 * body, out=sigma)
-        else:
-            bad = ~np.isfinite(body) | (body <= 0.0)
-            d = spec.lam_exponent
-            if d == 1.0:
-                np.sqrt(body, out=sigma)
-            elif d == 0.5:
-                sigma[...] = body  # state = sigma itself
+        for start in range(m, T, width):
+            w = min(width, T - start)
+            e = np.ascontiguousarray(rows[:, start - m : start + w].T)  # times start-m .. start+w-1
+            body = lam[m : m + w]
+            body[...] = sum(g(e[m - i : m - i + w]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
+            C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
+            for t in range(m, m + w):
+                acc = lam_rows[t]
+                for j, Cj in C:  # out= positional: the keyword form costs more per step
+                    np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
+            out = values[:, start - m : start - m + w].T  # time-major view of the row-major output
+            if spec.is_exponential:
+                bad = ~np.isfinite(body)
+                np.exp(0.5 * body, out=out)
             else:
-                np.power(body, 0.5 / d, out=sigma)
-        if bad.any():
-            if strict:
-                t_first = int(np.argwhere(np.any(bad.reshape(T - m, -1), axis=1))[0, 0])
-                raise DivergenceError(m + t_first, "non-finite or non-positive volatility state")
-            values[np.any(bad, axis=0)] = np.nan
-        values *= eps[..., m:]
-    return values
+                bad = ~np.isfinite(body) | (body <= 0.0)
+                out[...] = body ** (0.5 / spec.lam_exponent)  # ndarray ** is sqrt at 0.5, a copy at 1
+            if bad.any():
+                if strict:
+                    t_first = start + int(np.argmax(bad.any(axis=1)))
+                    raise DivergenceError(t_first, "non-finite or non-positive volatility state")
+                diverged |= bad.any(axis=0)
+            lam[:m] = lam[w : w + m]
+        values[diverged] = np.nan
+        values *= rows[:, m:]
+    return values.reshape(eps.shape[:-1] + (T - m,))

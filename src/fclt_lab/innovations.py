@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy import stats as sps
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, RefusalError
 
 __all__ = ["InnovationDist", "KINDS"]
 
@@ -159,26 +159,49 @@ class InnovationDist:
         """E[fn(eps)] by adaptive quadrature (continuous) or enumeration (discrete).
 
         The integration domain is split at 0 so that absolute-value kinks and
-        log singularities at the origin are resolved. Raises QuadratureError
-        when the requested relative tolerance is not met.
+        log singularities at the origin are resolved. Where the density
+        underflows to 0 the integrand is 0, so a far tail never weighs
+        fn = inf by 0, and the error is judged against the size of the two
+        halves, so an odd integrand whose halves cancel passes. Raises
+        QuadratureError when the requested relative tolerance is not met,
+        and RefusalError naming the moment when that is because fn grows like
+        |eps|^k with k >= dof under a Student t law.
         """
         if self.kind == "rademacher":
             return 0.5 * (float(fn(-1.0)) + float(fn(1.0)))
+        try:
+            return _integrate(fn, self.pdf, self.support(), rel_tol)
+        except QuadratureError:
+            if self.kind == "student_t":
+                k = _tail_power(fn)
+                if k >= self.dof - 1e-3:  # k read off |t|^r can miss r by rounding
+                    raise RefusalError(f"E|eps|^{k:.3g} is infinite under student_t(dof={self.dof:g})") from None
+            raise
 
-        lo, hi = self.support()
-        pieces = [(lo, 0.0), (0.0, hi)]
-        total = 0.0
-        err = 0.0
-        for a, b in pieces:
-            val, abserr = _quad_piece(lambda x: float(fn(x)) * float(self.pdf(x)), a, b)
-            total += val
-            err += abserr
-        if not math.isfinite(total):
-            raise QuadratureError(math.inf, "integral is non-finite")
-        # relative criterion, with an absolute floor so zero-valued integrals pass
-        if err > max(rel_tol * abs(total), 1e-10):
-            raise QuadratureError(err / max(abs(total), 1e-300))
-        return total
+
+def _integrate(fn, pdf, support: tuple[float, float], rel_tol: float) -> float:
+    def weighed(x):
+        density = float(pdf(x))
+        return float(fn(x)) * density if density > 0.0 else 0.0
+
+    lo, hi = support
+    halves = [_quad_piece(weighed, a, b) for a, b in ((lo, 0.0), (0.0, hi))]
+    total = sum(val for val, _ in halves)
+    err = sum(abserr for _, abserr in halves)
+    scale = sum(abs(val) for val, _ in halves)
+    if not math.isfinite(total):
+        raise QuadratureError(math.inf, "integral is non-finite")
+    # relative criterion, with an absolute floor so zero-valued integrals pass
+    if err > max(rel_tol * scale, 1e-10):
+        raise QuadratureError(err / max(scale, 1e-300))
+    return total
+
+
+def _tail_power(fn, x: float = 1e4) -> float:
+    """Growth exponent k of |fn(t)| ~ |t|^k in the tails, read off at |t| = x and 2x."""
+    with np.errstate(all="ignore"):
+        ks = [float(np.log2(np.abs(fn(2.0 * t)) / np.abs(fn(t)))) for t in (-x, x)]
+    return max((k for k in ks if not math.isnan(k)), default=0.0)
 
 
 def _quad_piece(f, a, b) -> tuple[float, float]:

@@ -79,8 +79,57 @@ def _innovation_to_obj(dist: InnovationDist) -> dict:
     return obj
 
 
-def _innovation_from_obj(obj: dict) -> InnovationDist:
-    return InnovationDist(kind=obj["kind"], dof=obj.get("dof"))
+def _innovation_from_obj(obj, where: str) -> InnovationDist:
+    obj = _object(obj, where)
+    return InnovationDist(kind=obj.get("kind"), dof=_field(obj, "dof", where, _number))
+
+
+# --- validation of spec fields: a malformed one raises ParameterError naming it
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        got = "nothing" if value is None else type(value).__name__
+        raise ParameterError(f"{name} must be a JSON object, got {got}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return value  # as given: an integer dof or delta stays one in spec_to_obj
+
+
+def _integer(value) -> int:
+    if not float(_number(value)).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return tuple(_number(v) for v in value)
+
+
+_EXPECTED = {_text: "a string", _number: "a number", _integer: "an integer", _numbers: "a list of numbers"}
+
+
+def _field(obj: dict, key: str, where: str, convert, default=None):
+    """``obj[key]`` through ``convert``; an absent or null field gives ``default``."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{where}.{key} must be {_EXPECTED[convert]}, got {value!r}") from None
 
 
 def spec_to_obj(spec: ProcessSpec) -> dict:
@@ -115,29 +164,42 @@ def spec_to_obj(spec: ProcessSpec) -> dict:
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 
 
-def spec_from_obj(obj: dict) -> ProcessSpec:
-    model = obj.get("model")
+def spec_from_obj(obj) -> ProcessSpec:
+    """The spec a JSON object describes (the inverse of ``spec_to_obj``).
+
+    A malformed object raises ParameterError naming the offending field.
+    """
+    return _spec_from_obj(obj, "spec")
+
+
+def _spec_from_obj(obj, where: str) -> ProcessSpec:
+    obj = _object(obj, where)
+    model = _field(obj, "model", where, _text)
     if model == "iid":
-        return IidSpec(innovation=_innovation_from_obj(obj["innovation"]))
+        return IidSpec(innovation=_innovation_from_obj(obj.get("innovation"), where + ".innovation"))
     if model == "arma":
-        inn = obj["innovation"]
+        inn = _object(obj.get("innovation"), where + ".innovation")
         if "model" in inn:
-            innovation = spec_from_obj(inn)
+            innovation = _spec_from_obj(inn, where + ".innovation")
             if not isinstance(innovation, AugGarchSpec):
                 raise ParameterError("ARMA innovation spec must be a garch model")
         else:
-            innovation = _innovation_from_obj(inn)
-        return ArmaSpec(phi=tuple(obj.get("phi", ())), theta=tuple(obj.get("theta", ())), innovation=innovation)
+            innovation = _innovation_from_obj(inn, where + ".innovation")
+        return ArmaSpec(
+            phi=_field(obj, "phi", where, _numbers, ()),
+            theta=_field(obj, "theta", where, _numbers, ()),
+            innovation=innovation,
+        )
     return AugGarchSpec(
         model=model,
-        p=int(obj.get("p", 1)),
-        q=int(obj.get("q", 0)),
-        omega=float(obj.get("omega", 0.0)),
-        alpha=tuple(obj.get("alpha", ())),
-        beta=tuple(obj.get("beta", ())),
-        gamma=tuple(obj.get("gamma", ())),
-        delta=obj.get("delta"),
-        innovation=_innovation_from_obj(obj["innovation"]),
+        p=_field(obj, "p", where, _integer, 1),
+        q=_field(obj, "q", where, _integer, 0),
+        omega=float(_field(obj, "omega", where, _number, 0.0)),
+        alpha=_field(obj, "alpha", where, _numbers, ()),
+        beta=_field(obj, "beta", where, _numbers, ()),
+        gamma=_field(obj, "gamma", where, _numbers, ()),
+        delta=_field(obj, "delta", where, _number),
+        innovation=_innovation_from_obj(obj.get("innovation"), where + ".innovation"),
     )
 
 
@@ -267,7 +329,7 @@ def path_from_csv(fileobj) -> np.ndarray:
     """Read a single-column CSV produced by path_to_csv (skips # comments)."""
     values = []
     header_seen = False
-    for raw in fileobj:
+    for lineno, raw in enumerate(fileobj, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -276,7 +338,10 @@ def path_from_csv(fileobj) -> np.ndarray:
                 raise ParameterError(f"expected header 'x', got {line!r}")
             header_seen = True
             continue
-        values.append(float(line))
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ParameterError(f"line {lineno}: expected a number, got {line!r}") from None
     if not header_seen:
         raise ParameterError("missing CSV header 'x'")
     return np.asarray(values, dtype=np.float64)

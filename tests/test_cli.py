@@ -230,3 +230,35 @@ def test_ned_scan_non_numeric_functional_exits_2(garch_spec_file, capsys):
     argv = ["ned-scan", "--spec", garch_spec_file, "--functional", "abs_pow:x", "--kmax", "2"]
     assert main(argv) == 2
     _assert_one_line_error(capsys, "abs_pow")
+
+
+def _spec_file(tmp_path, garch_spec_file, edit):
+    spec = json.loads(open(garch_spec_file).read())
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(spec)))
+    return str(path)
+
+
+def test_spec_without_innovation_exits_2(garch_spec_file, tmp_path, capsys):
+    spec = _spec_file(tmp_path, garch_spec_file, lambda s: {k: v for k, v in s.items() if k != "innovation"})
+    assert main(["simulate", "--spec", spec, "--n", "8", "--out", str(tmp_path / "x.csv")]) == 2
+    _assert_one_line_error(capsys, "spec.innovation")
+
+
+def test_spec_non_numeric_alpha_exits_2(garch_spec_file, tmp_path, capsys):
+    spec = _spec_file(tmp_path, garch_spec_file, lambda s: s | {"alpha": ["x"]})
+    assert main(["check", "--spec", spec, "--r", "1"]) == 2
+    _assert_one_line_error(capsys, "spec.alpha")
+
+
+def test_spec_json_array_exits_2(garch_spec_file, tmp_path, capsys):
+    spec = _spec_file(tmp_path, garch_spec_file, lambda s: [s])
+    assert main(["ned-scan", "--spec", spec, "--kmax", "2"]) == 2
+    _assert_one_line_error(capsys, "spec must be a JSON object")
+
+
+def test_estimate_csv_row_not_a_number_exits_2(tmp_path, capsys):
+    sample = tmp_path / "sample.csv"
+    sample.write_text("# comment\nx\n1.0\nfoo\n")
+    assert main(["estimate", "--input", str(sample), "--p", "0.5", "--r", "2"]) == 2
+    _assert_one_line_error(capsys, "line 4")

@@ -127,3 +127,122 @@ def test_vgarch_state_independent_of_volatility_feedback():
     assert np.isfinite(path.values).all()
     # Var(X) = E[sigma^2] = omega + alpha E[(eps+gamma)^2] = 0.1 + 0.2*1.25
     assert path.values.var() == pytest.approx(0.35, abs=0.05)
+
+
+# --- the time-tiled kernel against a plain per-step reference -------------------
+
+
+def _reference_values(spec, eps, strict=True):
+    """The recursion written out step by step over the whole (..., T) block."""
+    eps = np.asarray(eps, dtype=np.float64)
+    m, T = spec.pre_window, eps.shape[-1]
+    e = np.moveaxis(eps, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = [np.broadcast_to(gi(e), e.shape) for gi in spec.g_transforms()]
+        c = [np.broadcast_to(cj(e), e.shape) for cj in spec.c_transforms()]
+        lam = np.full(e.shape, spec.state_fixed_point())
+        for t in range(m, T):
+            acc = np.zeros(e.shape[1:])
+            for i, gi in enumerate(g, start=1):
+                acc = acc + gi[t - i]
+            for j, cj in enumerate(c, start=1):
+                acc = acc + cj[t - j] * lam[t - j]
+            lam[t] = acc
+        body = lam[m:]
+        if spec.is_exponential:
+            bad = ~np.isfinite(body)
+            sigma = np.exp(0.5 * body)
+        else:
+            bad = ~np.isfinite(body) | (body <= 0.0)
+            d = spec.lam_exponent
+            sigma = np.sqrt(body) if d == 1.0 else body.copy() if d == 0.5 else np.power(body, 0.5 / d)
+        if strict and bad.any():
+            raise DivergenceError(m + int(np.argwhere(bad.reshape(T - m, -1).any(axis=1))[0, 0]))
+        values = np.moveaxis(sigma * e[m:], 0, -1)
+        values[np.moveaxis(bad, 0, -1).any(axis=-1)] = np.nan
+    return values
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+KERNEL_SPECS = {
+    "garch": AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,)),
+    "garch22": AugGarchSpec(model="garch", p=2, q=2, omega=0.1, alpha=(0.05, 0.04), beta=(0.5, 0.3)),
+    "arch3": AugGarchSpec(model="arch", p=3, q=0, omega=0.2, alpha=(0.2, 0.1, 0.1)),
+    "egarch": AugGarchSpec(model="egarch", omega=0.05, alpha=(0.1,), beta=(0.9,), gamma=(-0.3,)),
+    "mgarch": AugGarchSpec(model="mgarch", omega=0.05, alpha=(0.05,), beta=(0.8,)),
+    "pgarch": AugGarchSpec(model="pgarch", omega=0.1, alpha=(0.1,), beta=(0.7,), delta=1.5),
+    "tgarch": AugGarchSpec(model="tgarch", omega=0.1, alpha=(0.1,), beta=(0.6,), gamma=(0.3,)),
+    "vgarch_q0": AugGarchSpec(model="vgarch", p=1, q=0, omega=0.1, alpha=(0.2,), gamma=(0.5,)),
+}
+
+# 128 rows give tiles of 2**20 // (8 * 128) = 1024 steps (about 1 MiB of state)
+TILE_128 = 1024
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@pytest.mark.parametrize(
+    "batch, steps",
+    [((5,), 1), ((128,), TILE_128 - 1), ((128,), TILE_128), ((128,), TILE_128 + 1), ((3, 4), 2 * TILE_128 + 3), ((), 300)],
+)
+def test_kernel_matches_reference_bit_for_bit(name, batch, steps):
+    spec = KERNEL_SPECS[name]
+    eps = np.random.default_rng(len(name) + steps).standard_normal(batch + (spec.pre_window + steps,))
+    assert _same_bits(garch_values_from_innovations(spec, eps), _reference_values(spec, eps))
+
+
+def _with_blowups(spec, rows, steps, hits):
+    """Innovations in which row r overflows the state at step t for each (r, t) in hits."""
+    eps = np.random.default_rng(3).standard_normal((rows, spec.pre_window + steps))
+    for r, t in hits:
+        eps[r, t - 1] = 1e300  # c_1(eps_{t-1}) = inf drives state_t to inf
+    return eps
+
+
+@pytest.mark.parametrize("name", ["garch", "garch22", "arch3", "pgarch"])
+def test_kernel_non_strict_nan_rows_match_reference(name):
+    spec = KERNEL_SPECS[name]
+    eps = _with_blowups(spec, 128, 2 * TILE_128 + 7, [(7, 1500), (3, 1800), (100, 40)])
+    got = garch_values_from_innovations(spec, eps, strict=False)
+    assert _same_bits(got, _reference_values(spec, eps, strict=False))
+    assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [3, 7, 100]
+
+
+@pytest.mark.parametrize("name", ["garch", "garch22", "arch3", "pgarch"])
+def test_kernel_strict_raises_at_the_reference_step(name):
+    spec = KERNEL_SPECS[name]
+    eps = _with_blowups(spec, 128, 2 * TILE_128 + 7, [(7, 1500), (3, 1800)])  # first bad step in tile 2
+    with pytest.raises(DivergenceError) as ref:
+        _reference_values(spec, eps)
+    with pytest.raises(DivergenceError) as got:
+        garch_values_from_innovations(spec, eps)
+    assert got.value.step == ref.value.step == 1500
+
+
+def test_kernel_explosive_spec_matches_reference():
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(2.0,), beta=(1.5,))
+    eps = np.random.default_rng(9).standard_normal((6, 1 + 900))
+    assert _same_bits(
+        garch_values_from_innovations(spec, eps, strict=False), _reference_values(spec, eps, strict=False)
+    )
+    with pytest.raises(DivergenceError) as ref:
+        _reference_values(spec, eps)
+    with pytest.raises(DivergenceError) as got:
+        garch_values_from_innovations(spec, eps)
+    assert got.value.step == ref.value.step
+
+
+def test_kernel_peak_memory_is_output_plus_a_tile():
+    import tracemalloc
+
+    spec = KERNEL_SPECS["garch"]
+    eps = np.random.default_rng(0).standard_normal((128, 10**5))
+    tracemalloc.start()
+    try:
+        values = garch_values_from_innovations(spec, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * values.nbytes + 4 * 2**20

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fclt_lab.errors import ParameterError, QuadratureError
+from fclt_lab.asymptotics import iid_gamma
+from fclt_lab.errors import ParameterError, QuadratureError, RefusalError
 from fclt_lab.innovations import InnovationDist
 from fclt_lab.rng import stream_generator
 
@@ -90,3 +91,28 @@ def test_ppf_cdf_roundtrip():
             continue
         for u in (0.1, 0.5, 0.95):
             assert dist.cdf(dist.ppf(u)) == pytest.approx(u, abs=1e-9)
+
+
+def test_student_sixth_moment_and_cancelling_halves():
+    dist = InnovationDist("student_t", dof=15.0)
+    assert dist.expect(lambda x: x**6) == pytest.approx(dist.even_moment(3), rel=1e-8)
+    # odd integrand: the halves cancel to 0, judged against their size
+    assert dist.expect(lambda x: x * np.abs(x) ** 3) == pytest.approx(0.0, abs=1e-12)
+    gamma = iid_gamma(dist, 0.5, 3)
+    m3 = dist.expect(lambda x: np.abs(x) ** 3)
+    assert gamma.g22 == pytest.approx(dist.even_moment(3) - m3 * m3, rel=1e-8)
+
+
+@pytest.mark.parametrize("dof", [5.0, 6.0])
+def test_student_infinite_moment_is_refused_by_name(dof):
+    dist = InnovationDist("student_t", dof=dof)
+    with pytest.raises(RefusalError, match=rf"E\|eps\|\^6 is infinite under student_t\(dof={dof:g}\)"):
+        dist.expect(lambda x: x**6)
+    with pytest.raises(RefusalError, match=r"E\|eps\|\^6 is infinite"):
+        iid_gamma(dist, 0.5, 3)
+
+
+def test_far_tail_of_a_finite_moment_weighs_zero():
+    # exp(X^2 / 4) overflows where the normal density has underflowed to 0
+    with np.errstate(over="ignore"):
+        assert InnovationDist().expect(lambda x: np.exp(x * x / 4)) == pytest.approx(math.sqrt(2.0), rel=1e-8)
