@@ -35,7 +35,7 @@ from .harness import (
     run_fclt_experiment,
     run_representation_experiment,
 )
-from .ned import Functional, ned_scan
+from .ned import DEFAULT_PRE_WINDOW, DEFAULT_REDRAWS, DEFAULT_SAMPLES, Functional, ned_scan
 from .processes import (
     path_from_csv,
     path_to_csv,
@@ -175,7 +175,14 @@ def _cmd_ned_scan(args) -> int:
     )
     manifest = _make_manifest(
         "ned-scan",
-        {"spec": spec_obj, "functional": args.functional, "kmax": args.kmax},
+        {
+            "spec": spec_obj,
+            "functional": args.functional,
+            "kmax": args.kmax,
+            "samples": args.samples,
+            "redraws": args.redraws,
+            "pre_window_len": DEFAULT_PRE_WINDOW,
+        },
         args.seed,
         [args.out] if args.out else [],
         t0,
@@ -351,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     ned.add_argument("--spec", required=True, help="process spec JSON file")
     ned.add_argument("--functional", default="identity", help="identity | abs_pow:R | indicator_leq:X")
     ned.add_argument("--kmax", type=int, required=True, help="largest window width")
-    ned.add_argument("--redraws", type=int, default=64, help="inner redraws per sample (default 64)")
-    ned.add_argument("--samples", type=int, default=4096, help="outer samples (default 4096)")
+    ned.add_argument(
+        "--redraws", type=int, default=DEFAULT_REDRAWS, help=f"inner redraws per sample (default {DEFAULT_REDRAWS})"
+    )
+    ned.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=f"outer samples (default {DEFAULT_SAMPLES})")
     ned.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ned.add_argument("--out", default=None, help="output CSV path (default stdout)")
     ned.add_argument(

@@ -9,6 +9,14 @@ average the functional over the redraws. The squared estimate averages
 (functional - redraw average)^2 over N outer samples; the redraw average
 inflates it by Var_inner / R, and a corrected value with that term removed
 is reported alongside the raw one.
+
+One draw block serves a whole scan. With W = max(k) + pre_window_len + m + 1
+(m the GARCH pre-window), outer sample i draws from the stream (seed, i)
+first a base window eps_{-(W-1)..0} of W innovations, then an (R, W - 1)
+block of redrawn pasts for the times -(W-1)..-1. For each k the coupled
+paths are the last k + pre_window_len + m + 1 columns of the base and of the
+redraws, with the redraws' last k + 1 entries replaced by the base's. A
+scan's draws, and so its estimates, therefore depend on its largest k.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ __all__ = [
 DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
 DEFAULT_PRE_WINDOW = 200
+_BLOCK_BYTES = 2**23  # default size of one sample chunk's (chunk, R + 1, W) draw block
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,73 @@ def _require_causal(spec: ProcessSpec):
         spec.require_causal()
 
 
+def _scans(spec, functionals, k_values, redraws, samples, seed, pre_window_len, chunk_size=None, threads=1):
+    """One NedScan per functional over ``k_values``, all from one draw block per
+    outer sample (the layout of the module docstring)."""
+    ks = [int(k) for k in k_values]
+    if not ks:
+        raise ParameterError("the k grid is empty: kmax must be >= 1")
+    if min(ks) < 0:
+        raise ParameterError("k values must be >= 0")
+    if redraws < 2 or samples < 2:
+        raise ParameterError("need redraws >= 2 and samples >= 2")
+    _require_causal(spec)
+    dist = innovation_driver(spec)
+    m_extra = pre_window(spec)  # GARCH recursion consumes a pre-window of its own
+    grid = sorted(set(ks))
+    width = grid[-1] + pre_window_len + m_extra + 1  # W: innovations at times -(W-1)..0
+    if chunk_size is None:
+        chunk_size = max(1, _BLOCK_BYTES // (8 * (redraws + 1) * width))
+    d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
+
+    def task(start, stop):
+        eps = np.empty((stop - start, redraws + 1, width))
+        for row in range(stop - start):
+            rng = stream_generator(seed, start + row)
+            eps[row, 0] = dist.sample(rng, width)
+            eps[row, 1:, :-1] = dist.sample(rng, (redraws, width - 1))
+        fixed = width  # the redraw rows' columns fixed..W-1 hold the base's entries
+        for j, k in enumerate(grid):  # ascending: each k fixes the columns W-1-k..W-1
+            eps[:, 1:, width - 1 - k : fixed] = eps[:, :1, width - 1 - k : fixed]
+            fixed = width - 1 - k
+            paths = eps[:, :, fixed - pre_window_len - m_extra :]  # a (rows, T) view, no copy
+            x0 = np.ascontiguousarray(values_from_innovations(spec, paths)[..., -1])
+            for f, functional in enumerate(functionals):
+                g = functional.apply(x0)
+                g_base = g[:, 0]
+                g_redraw = np.ascontiguousarray(g[:, 1:])
+                # exact summation for the redraw average so identical redraws cancel
+                # exactly: finite-dependence processes then give nu_hat = 0, not noise
+                avg = np.array([math.fsum(r) for r in g_redraw]) / redraws
+                d = (g_base - avg) ** 2
+                dev = g_redraw - avg[:, None]
+                inner_var = np.einsum("ij,ij->i", dev, dev) / (redraws - 1)
+                d_all[f, j, 0, start:stop] = d
+                d_all[f, j, 1, start:stop] = d - inner_var / redraws
+
+    run_chunked(samples, task, chunk_size=chunk_size, threads=threads)
+    scans = []
+    for functional, d_f in zip(functionals, d_all):
+        by_k = dict(zip(grid, map(_estimate, d_f)))
+        nu, se, nu_jk = zip(*(by_k[k] for k in ks))
+        scans.append(NedScan(tuple(ks), nu, se, nu_jk, functional.label(), redraws, samples, fit_decay(ks, nu_jk)))
+    return scans
+
+
+def _estimate(d: np.ndarray) -> tuple[float, float, float]:
+    """(nu_hat, se, nu_hat_jk) from the raw and corrected terms (2, N) of N outer samples."""
+    d_raw, d_jk = d
+    n = d_raw.size
+    nu2_raw = float(d_raw.sum()) / n
+    nu2_jk = float(d_jk.sum()) / n
+    var_d_jk = max(float((d_jk * d_jk).sum()) / n - nu2_jk * nu2_jk, 0.0)
+    se_nu2 = math.sqrt(var_d_jk / n)
+    nu_hat = math.sqrt(max(nu2_raw, 0.0))
+    nu_hat_jk = math.sqrt(max(nu2_jk, 0.0))
+    se = se_nu2 / (2.0 * nu_hat) if nu_hat > 0 else 0.0
+    return nu_hat, se, nu_hat_jk
+
+
 def estimate_ned(
     spec: ProcessSpec,
     functional: Functional,
@@ -128,62 +204,19 @@ def estimate_ned(
     samples: int = DEFAULT_SAMPLES,
     seed=0,
     pre_window_len: int = DEFAULT_PRE_WINDOW,
-    chunk_size: int = 256,
+    chunk_size: int | None = None,
     threads: int = 1,
 ) -> NedEstimate:
     """Coupling estimate of nu(k) for the given functional of the process.
 
-    Outer sample i uses the stream (seed, i): a base innovation window
-    eps_{-M..0} with M = k + pre_window_len, then R redraws of the entries
-    before -k. Consistent (R, N -> infinity) and upward-biased by
-    Var_inner/R; the corrected value removes that bias.
+    This is a scan of the single width k (so W = k + pre_window_len + m + 1
+    in the module docstring's layout). Consistent (R, N -> infinity) and
+    upward-biased by Var_inner/R; the corrected value removes that bias.
+    ``chunk_size`` outer samples share one draw block (default: a block of
+    about 8 MiB); the result does not depend on it or on ``threads``.
     """
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    if redraws < 2 or samples < 2:
-        raise ParameterError("need redraws >= 2 and samples >= 2")
-    _require_causal(spec)
-    dist = innovation_driver(spec)
-    m_extra = pre_window(spec)  # GARCH recursion consumes a pre-window of its own
-    window = k + pre_window_len + m_extra + 1  # innovations at times -(window-1)..0
-    n_fixed = k + 1  # eps_{-k..0} held fixed
-    n_redrawn = window - n_fixed
-
-    d_all = np.empty(samples)
-    d_jk_all = np.empty(samples)
-
-    def task(start, stop):
-        count = stop - start
-        eps = np.empty((count, redraws + 1, window))
-        for row in range(count):
-            rng = stream_generator(seed, start + row)
-            base = dist.sample(rng, window)
-            eps[row, 0] = base
-            eps[row, 1:, n_redrawn:] = base[n_redrawn:]
-            eps[row, 1:, :n_redrawn] = dist.sample(rng, (redraws, n_redrawn))
-        x0 = np.ascontiguousarray(values_from_innovations(spec, eps)[..., -1])
-        g = functional.apply(x0)
-        g_base = g[:, 0]
-        g_redraw = np.ascontiguousarray(g[:, 1:])
-        # exact summation for the redraw average so identical redraws cancel
-        # exactly: finite-dependence processes then give nu_hat = 0, not noise
-        avg = np.array([math.fsum(row) for row in g_redraw]) / redraws
-        d = (g_base - avg) ** 2
-        dev = g_redraw - avg[:, None]
-        inner_var = np.einsum("ij,ij->i", dev, dev) / (redraws - 1)
-        d_all[start:stop] = d
-        d_jk_all[start:stop] = d - inner_var / redraws
-
-    run_chunked(samples, task, chunk_size=chunk_size, threads=threads)
-
-    n = samples
-    nu2_raw = float(d_all.sum()) / n
-    nu2_jk = float(d_jk_all.sum()) / n
-    var_d_jk = max(float((d_jk_all * d_jk_all).sum()) / n - nu2_jk * nu2_jk, 0.0)
-    se_nu2 = math.sqrt(var_d_jk / n)
-    nu_hat = math.sqrt(max(nu2_raw, 0.0))
-    nu_hat_jk = math.sqrt(max(nu2_jk, 0.0))
-    se = se_nu2 / (2.0 * nu_hat) if nu_hat > 0 else 0.0
+    scan = _scans(spec, [functional], [k], redraws, samples, seed, pre_window_len, chunk_size, threads)[0]
+    [(k, nu_hat, se, nu_hat_jk)] = scan.to_rows()
     return NedEstimate(k=k, nu_hat=nu_hat, se=se, nu_hat_jk=nu_hat_jk, redraws=redraws, samples=samples)
 
 
@@ -197,34 +230,13 @@ def ned_scan(
     pre_window_len: int = DEFAULT_PRE_WINDOW,
     threads: int = 1,
 ) -> NedScan:
-    """nu(k) estimates over a grid of window widths, with a decay fit."""
-    ks = [int(k) for k in k_values]
-    if any(k < 0 for k in ks):
-        raise ParameterError("k values must be >= 0")
-    ests = [
-        estimate_ned(
-            spec,
-            functional,
-            k,
-            redraws=redraws,
-            samples=samples,
-            seed=seed,
-            pre_window_len=pre_window_len,
-            threads=threads,
-        )
-        for k in ks
-    ]
-    nu_jk = tuple(e.nu_hat_jk for e in ests)
-    return NedScan(
-        k_values=tuple(ks),
-        nu_hat=tuple(e.nu_hat for e in ests),
-        se=tuple(e.se for e in ests),
-        nu_hat_jk=nu_jk,
-        functional=functional.label(),
-        redraws=redraws,
-        samples=samples,
-        fit=fit_decay(ks, nu_jk),
-    )
+    """nu(k) estimates over a grid of window widths, with a decay fit.
+
+    One draw block per outer sample serves every k (module docstring), so an
+    estimate depends on max(k_values) as well as on its own k. The grid may
+    be unsorted and repeat a k; an empty grid raises ParameterError.
+    """
+    return _scans(spec, [functional], k_values, redraws, samples, seed, pre_window_len, threads=threads)[0]
 
 
 def fit_decay(k_values, nu_hat) -> DecayFit:
@@ -274,15 +286,14 @@ def functional_ned_comparison(
 ) -> FunctionalComparison:
     """Side-by-side scans for identity, indicator and |x|^r functionals.
 
-    Checks the square-root degradation qualitatively: fitted geometric rates
-    of the functional scans should be no better (no smaller) than the
-    identity rate, up to MC tolerance.
+    All three come from one coupled block per outer sample and equal three
+    ``ned_scan`` calls with these arguments. Checks the square-root degradation
+    qualitatively: fitted geometric rates of the functional scans should be no
+    better (no smaller) than the identity rate, up to MC tolerance.
     """
-    scans = {
-        "identity": ned_scan(spec, Functional("identity"), k_values, redraws, samples, seed),
-        "indicator": ned_scan(spec, Functional("indicator_leq", x_threshold), k_values, redraws, samples, seed),
-        "abs_pow": ned_scan(spec, Functional("abs_pow", float(r)), k_values, redraws, samples, seed),
-    }
+    names = ("identity", "indicator", "abs_pow")
+    functionals = [Functional("identity"), Functional("indicator_leq", x_threshold), Functional("abs_pow", float(r))]
+    scans = dict(zip(names, _scans(spec, functionals, k_values, redraws, samples, seed, DEFAULT_PRE_WINDOW)))
     base = scans["identity"].fit
     consistent = True
     if base is not None and base.model == "geometric":

@@ -262,3 +262,19 @@ def test_estimate_csv_row_not_a_number_exits_2(tmp_path, capsys):
     sample.write_text("# comment\nx\n1.0\nfoo\n")
     assert main(["estimate", "--input", str(sample), "--p", "0.5", "--r", "2"]) == 2
     _assert_one_line_error(capsys, "line 4")
+
+
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_ned_scan_empty_k_grid_exits_2(garch_spec_file, capsys, kmax):
+    assert main(["ned-scan", "--spec", garch_spec_file, "--kmax", kmax]) == 2
+    _assert_one_line_error(capsys, "kmax")
+
+
+def test_ned_scan_fingerprint_covers_samples(garch_spec_file, tmp_path):
+    fingerprints = []
+    for samples in ("8", "12"):
+        out = tmp_path / f"scan_{samples}.csv"
+        argv = ["ned-scan", "--spec", garch_spec_file, "--kmax", "1", "--samples", samples, "--redraws", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        fingerprints.append(json.loads((tmp_path / f"scan_{samples}.csv.manifest.json").read_text())["config_fingerprint"])
+    assert fingerprints[0] != fingerprints[1]

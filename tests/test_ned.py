@@ -14,7 +14,8 @@ from fclt_lab.ned import (
     functional_ned_comparison,
     ned_scan,
 )
-from fclt_lab.processes import IidSpec
+from fclt_lab.processes import IidSpec, innovation_driver, pre_window, values_from_innovations
+from fclt_lab.rng import stream_generator
 
 AR1 = ArmaSpec(phi=(-0.5,))
 IDENTITY = Functional("identity")
@@ -114,3 +115,100 @@ def test_functional_parsing():
     assert Functional.parse("indicator_leq:0.5") == Functional("indicator_leq", 0.5)
     with pytest.raises(ParameterError):
         Functional.parse("huber")
+
+
+# --- the scan core against a per-k reference --------------------------------
+
+GARCH11 = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+ARMA_GARCH = ArmaSpec(phi=(0.4,), theta=(0.2,), innovation=GARCH11)
+CORE_CASES = [
+    (AR1, IDENTITY),
+    (ARMA_GARCH, Functional("abs_pow", 2.0)),
+    (GARCH11, Functional("abs_pow", 2.0)),
+    (IidSpec(InnovationDist("student_t", dof=5.0)), Functional("indicator_leq", 0.3)),
+]
+
+
+def reference_scan(spec, functional, k_values, redraws, samples, seed, pre_window_len):
+    """nu(k) by a plain loop over k and outer samples from the documented layout.
+
+    Sample i draws W = max(k) + pre_window_len + m + 1 base innovations, then
+    an (R, W - 1) block of redrawn pasts, from the stream (seed, i). The
+    coupled paths at k are the last k + pre_window_len + m + 1 columns, with
+    the redraws' last k + 1 entries taken from the base.
+    """
+    dist, m = innovation_driver(spec), pre_window(spec)
+    width = max(k_values) + pre_window_len + m + 1
+    draws = []
+    for i in range(samples):
+        rng = stream_generator(seed, i)
+        base = dist.sample(rng, width)
+        draws.append((base, dist.sample(rng, (redraws, width - 1))))
+    rows = []
+    for k in k_values:
+        T = k + pre_window_len + m + 1
+        g = np.empty((samples, redraws + 1))
+        for i, (base, past) in enumerate(draws):
+            paths = np.empty((redraws + 1, T))
+            paths[0] = base[width - T :]
+            paths[1:, : T - k - 1] = past[:, width - T : width - k - 1]
+            paths[1:, T - k - 1 :] = base[width - k - 1 :]
+            g[i] = functional.apply(values_from_innovations(spec, paths)[:, -1])
+        avg = np.array([math.fsum(row) for row in g[:, 1:]]) / redraws
+        d = (g[:, 0] - avg) ** 2
+        dev = np.ascontiguousarray(g[:, 1:]) - avg[:, None]
+        d_jk = d - np.einsum("ij,ij->i", dev, dev) / (redraws - 1) / redraws
+        nu2, nu2_jk = float(d.sum()) / samples, float(d_jk.sum()) / samples
+        se_nu2 = math.sqrt(max(float((d_jk * d_jk).sum()) / samples - nu2_jk * nu2_jk, 0.0) / samples)
+        nu = math.sqrt(max(nu2, 0.0))
+        rows.append((k, nu, se_nu2 / (2.0 * nu) if nu > 0 else 0.0, math.sqrt(max(nu2_jk, 0.0))))
+    return rows
+
+
+@pytest.mark.parametrize("spec,functional", CORE_CASES)
+def test_scan_matches_per_k_reference_bit_for_bit(spec, functional):
+    ks = [3, 0, 5, 3, 1]  # unsorted, with k = 0 and a duplicate
+    scan = ned_scan(spec, functional, ks, redraws=4, samples=7, seed=(5, 2), pre_window_len=6)
+    assert scan.to_rows() == reference_scan(spec, functional, ks, 4, 7, (5, 2), 6)
+
+
+def test_estimate_ned_is_a_scan_of_one_k():
+    est = estimate_ned(GARCH11, Functional("abs_pow", 2.0), 2, redraws=4, samples=6, seed=8, pre_window_len=5)
+    assert [(est.k, est.nu_hat, est.se, est.nu_hat_jk)] == reference_scan(
+        GARCH11, Functional("abs_pow", 2.0), [2], 4, 6, 8, 5
+    )
+
+
+def test_scan_independent_of_threads_and_chunk_size():
+    fn = Functional("abs_pow", 2.0)
+    runs = [
+        estimate_ned(ARMA_GARCH, fn, 4, redraws=5, samples=40, seed=3, pre_window_len=20, chunk_size=c, threads=t)
+        for c, t in [(None, 1), (1, 1), (7, 1), (7, 2), (16, 2)]
+    ]
+    assert all(r == runs[0] for r in runs[1:])
+    one = ned_scan(ARMA_GARCH, fn, range(6), redraws=5, samples=40, seed=3, pre_window_len=20, threads=1)
+    two = ned_scan(ARMA_GARCH, fn, range(6), redraws=5, samples=40, seed=3, pre_window_len=20, threads=2)
+    assert one == two
+
+
+@pytest.mark.parametrize("k_values", [[2], range(1, 9)])
+def test_scan_samples_each_outer_sample_twice(monkeypatch, k_values):
+    calls = []
+    sample = InnovationDist.sample
+    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size: calls.append(size) or sample(self, rng, size))
+    ned_scan(GARCH11, Functional("abs_pow", 2.0), k_values, redraws=3, samples=5, seed=1, pre_window_len=4)
+    assert len(calls) == 2 * 5
+
+
+def test_empty_k_grid_refused():
+    with pytest.raises(ParameterError, match="kmax"):
+        ned_scan(AR1, IDENTITY, [], redraws=4, samples=8)
+
+
+def test_functional_comparison_equals_three_scans():
+    args = dict(redraws=6, samples=48, seed=17)
+    ks = [2, 1, 5, 4, 3]  # at least four k > 0, so each fit is a number, not a NaN
+    cmp = functional_ned_comparison(AR1, x_threshold=0.5, r=3, k_values=ks, **args)
+    assert cmp.identity == ned_scan(AR1, IDENTITY, ks, **args)
+    assert cmp.indicator == ned_scan(AR1, Functional("indicator_leq", 0.5), ks, **args)
+    assert cmp.abs_pow == ned_scan(AR1, Functional("abs_pow", 3.0), ks, **args)
