@@ -119,8 +119,11 @@ def causal_ma_coefficients(spec: ArmaSpec, K: int) -> np.ndarray:
     return psi
 
 
-def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray) -> np.ndarray:
-    """Causal ARMA filter applied along the last axis (zero initial state)."""
+def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray | None = None):
+    """Causal ARMA filter applied along the last axis, from the zero state or,
+    returning (values, final state) as ``lfilter`` does, from the filter state
+    ``state`` (..., max(p, q, 1)). With a state a pure MA runs the recursive
+    form, not scipy's per-row FIR loop; for q >= 3 its last bits can differ."""
     b = np.r_[1.0, spec.theta]
-    a = np.r_[1.0, spec.phi]
-    return lfilter(b, a, np.asarray(eps, dtype=np.float64), axis=-1)
+    a = np.r_[1.0, spec.phi] if state is None or spec.p else np.r_[1.0, 0.0]
+    return lfilter(b, a, np.asarray(eps, dtype=np.float64), axis=-1, zi=state)

@@ -35,8 +35,13 @@ from .harness import (
     run_fclt_experiment,
     run_representation_experiment,
 )
-from .ned import DEFAULT_PRE_WINDOW, DEFAULT_REDRAWS, DEFAULT_SAMPLES, Functional, ned_scan
+from .ned import DEFAULT_REDRAWS, DEFAULT_SAMPLES, Functional, ned_scan
 from .processes import (
+    _field,
+    _integer,
+    _number,
+    _numbers,
+    _object,
     path_from_csv,
     path_to_csv,
     simulate,
@@ -181,7 +186,6 @@ def _cmd_ned_scan(args) -> int:
             "kmax": args.kmax,
             "samples": args.samples,
             "redraws": args.redraws,
-            "pre_window_len": DEFAULT_PRE_WINDOW,
         },
         args.seed,
         [args.out] if args.out else [],
@@ -218,8 +222,9 @@ def _resolve_mc_truth(cfg_obj: dict, spec, p: float, r: int) -> Truth:
             r=r,
             provenance=provided,
         )
-    pilot = cfg_obj.get("pilot", {})
-    return resolve_truth(spec, p, r, seed=pilot.get("seed", 0), pilot_n=pilot.get("n", 10_000_000))
+    pilot = _object(cfg_obj.get("pilot", {}), "config.pilot")
+    pilot_n = _field(pilot, "n", "config.pilot", _integer, 10_000_000)
+    return resolve_truth(spec, p, r, seed=pilot.get("seed", 0), pilot_n=pilot_n)
 
 
 def _cmd_mc(args) -> int:
@@ -240,6 +245,9 @@ def _cmd_mc(args) -> int:
         n = int(cfg_obj.get("n", cfg_obj.get("n_ladder", [1000])[-1] if "n_ladder" in cfg_obj else 1000))
     except (KeyError, TypeError, ValueError) as exc:
         raise _IOFailure(f"bad config {args.config}: {exc}")
+    t_grid = _field(cfg_obj, "t_grid", "config", _numbers)
+    se_threshold = float(_field(cfg_obj, "se_threshold", "config", _number, 3.0))
+    max_lag = _field(cfg_obj, "max_lag", "config", _integer, 50)
     truth = _resolve_mc_truth(cfg_obj, spec, p, r)
 
     target = None
@@ -252,7 +260,7 @@ def _cmd_mc(args) -> int:
             r,
             q_true=truth.q_true,
             f_at_q=truth.f_at_q,
-            max_lag=int(cfg_obj.get("max_lag", 50)),
+            max_lag=max_lag,
             n_per_rep=n,
             n_reps=reps,
             seed=(seed, 10_000_000),
@@ -288,9 +296,9 @@ def _cmd_mc(args) -> int:
         seed=seed,
         truth=truth,
         target=target,
-        t_grid=tuple(cfg_obj["t_grid"]) if "t_grid" in cfg_obj else None,
+        t_grid=t_grid,
         n_ladder=tuple(cfg_obj["n_ladder"]) if "n_ladder" in cfg_obj else None,
-        se_threshold=float(cfg_obj.get("se_threshold", 3.0)),
+        se_threshold=se_threshold,
     )
     runners = {
         "clt": run_clt_experiment,

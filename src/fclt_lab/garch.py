@@ -250,17 +250,19 @@ def default_burn_in(spec) -> int:
     return max(1000, 20 * (p + q))
 
 
-def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: bool = True) -> np.ndarray:
+def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=True, state=None, final_state=False):
     """Run the volatility recursion over given innovations, vectorized over
     leading axes.
 
     ``eps`` has shape (..., T); the first m = ``spec.pre_window`` entries seed
-    the lag window (the state there is held at the fixed point) and the
-    returned values X_t = sigma_t eps_t have shape (..., T - m), row-major.
-    Memory is the output plus one time tile of state (module docstring). A
-    non-finite or non-positive state raises DivergenceError naming the first
-    offending step; with ``strict=False`` the affected batch rows come back as
-    NaN so a caller can quarantine them individually.
+    the lag window (the states there are held at the fixed point, or given as
+    ``state`` (..., m)) and the returned values X_t = sigma_t eps_t have shape
+    (..., T - m), row-major. ``final_state`` also returns the states at the
+    last m times, from which a split path resumes bit for bit. Memory is the
+    output plus one time tile of state (module docstring). A non-finite or
+    non-positive state raises DivergenceError naming the first offending step;
+    with ``strict=False`` the affected batch rows come back as NaN so a caller
+    can quarantine them individually.
     """
     eps = np.asarray(eps, dtype=np.float64)
     g_list = spec.g_transforms()
@@ -274,7 +276,8 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
     B = rows.shape[0]
     values = np.empty((B, T - m))
     width = min(T - m, max(16, 2**20 // (8 * max(B, 1))))
-    lam = np.full((m + width, B), spec.state_fixed_point())  # m carried states, then a tile
+    lam = np.empty((m + width, B))  # m carried states, then a tile
+    lam[:m] = spec.state_fixed_point() if state is None else np.reshape(state, (B, m)).T
     lam_rows, tmp, diverged = list(lam), np.empty(B), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(m, T, width):
@@ -302,4 +305,5 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict: b
             lam[:m] = lam[w : w + m]
         values[diverged] = np.nan
         values *= rows[:, m:]
-    return values.reshape(eps.shape[:-1] + (T - m,))
+    values = values.reshape(eps.shape[:-1] + (T - m,))
+    return (values, lam[:m].T.reshape(eps.shape[:-1] + (m,))) if final_state else values

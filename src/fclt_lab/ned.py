@@ -10,13 +10,19 @@ average the functional over the redraws. The squared estimate averages
 inflates it by Var_inner / R, and a corrected value with that term removed
 is reported alongside the raw one.
 
-One draw block serves a whole scan. With W = max(k) + pre_window_len + m + 1
-(m the GARCH pre-window), outer sample i draws from the stream (seed, i)
-first a base window eps_{-(W-1)..0} of W innovations, then an (R, W - 1)
-block of redrawn pasts for the times -(W-1)..-1. For each k the coupled
-paths are the last k + pre_window_len + m + 1 columns of the base and of the
-redraws, with the redraws' last k + 1 entries replaced by the base's. A
-scan's draws, and so its estimates, therefore depend on its largest k.
+A redrawn past reaches X_0 only through the Markov state at time -k-1 (the m
+GARCH volatility states with their m innovations, and the ARMA filter state),
+a stationary draw independent of eps_{-k..0} (Wu's physical dependence
+coupling). So a scan draws a bank of N = samples states, the ends of
+``default_burn_in(spec)``-step paths from the fixed point (as ``simulate``
+does), in blocks of about 8 MiB from the stream (seed, _BANK_STREAM). Outer
+sample i draws from the stream (seed, i) such a path followed by
+eps_{-kmax..0}, then the bank indices of its R redraws. Its X_0 runs from its
+own end state over eps_{-kmax..0}, redraw r at each k from its bank state over
+eps_{-k..0}, k + 1 steps; the one arithmetic makes a finite-dependence
+process give redraws equal to the base bit for bit. Estimates depend on the
+largest k and on N, not on chunks or threads; the corrected value estimates
+nu^2 (1 + 1/N).
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .parallel import run_chunked
-from .processes import ProcessSpec, innovation_driver, pre_window, values_from_innovations
+from .garch import default_burn_in
+from .processes import IidSpec, ProcessSpec, innovation_driver, pre_window, values_from_innovations
 from .arma import ArmaSpec
 from .rng import stream_generator
 
@@ -45,8 +52,9 @@ __all__ = [
 
 DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
-DEFAULT_PRE_WINDOW = 200
-_BLOCK_BYTES = 2**23  # default size of one sample chunk's (chunk, R + 1, W) draw block
+DEFAULT_PRE_WINDOW = 200  # unused here; perfbench/workloads.py reads it for ned_garch's nominal step count
+_BLOCK_BYTES = 2**23  # default size of one sample chunk's draws and coupled rows, and of a bank block
+_BANK_STREAM = 2**32 - 1  # the bank's stream (seed, _BANK_STREAM); outer sample indices stay below it
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,23 @@ def _require_causal(spec: ProcessSpec):
         spec.require_causal()
 
 
-def _scans(spec, functionals, k_values, redraws, samples, seed, pre_window_len, chunk_size=None, threads=1):
-    """One NedScan per functional over ``k_values``, all from one draw block per
-    outer sample (the layout of the module docstring)."""
+def _end_states(spec, m, eps):
+    """Markov states at the end of the paths ``eps`` (..., T) run from the
+    fixed point: their last m innovations, then the carried state."""
+    state = values_from_innovations(spec, eps, final_state=True)[1]
+    return np.concatenate([eps[..., eps.shape[-1] - m :], state], axis=-1)
+
+
+def _last_values(spec, m, start, suffix):
+    """X_0 of the paths that run from the Markov states ``start`` over the
+    innovations ``suffix`` (broadcast against them)."""
+    eps = np.concatenate([start[..., :m], np.broadcast_to(suffix, start.shape[:-1] + suffix.shape[-1:])], axis=-1)
+    return np.ascontiguousarray(values_from_innovations(spec, eps, state=start[..., m:])[..., -1])
+
+
+def _scans(spec, functionals, k_values, redraws, samples, seed, chunk_size=None, threads=1):
+    """One NedScan per functional over ``k_values``, all from one bank and one
+    draw per outer sample (the layout of the module docstring)."""
     ks = [int(k) for k in k_values]
     if not ks:
         raise ParameterError("the k grid is empty: kmax must be >= 1")
@@ -141,33 +163,34 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, pre_window_len, 
         raise ParameterError("need redraws >= 2 and samples >= 2")
     _require_causal(spec)
     dist = innovation_driver(spec)
-    m_extra = pre_window(spec)  # GARCH recursion consumes a pre-window of its own
+    m = pre_window(spec)  # GARCH recursion consumes a pre-window of its own
+    lead = m + (0 if isinstance(spec, IidSpec) else default_burn_in(spec))  # innovations before eps_{-kmax}
     grid = sorted(set(ks))
-    width = grid[-1] + pre_window_len + m_extra + 1  # W: innovations at times -(W-1)..0
+    kmax = grid[-1]
+    rng = stream_generator(seed, _BANK_STREAM)
+    block = max(1, _BLOCK_BYTES // (16 * max(lead, 1)))  # bank rows per draw: their innovations and values
+    draws = (dist.sample(rng, (min(block, samples - lo), lead)) for lo in range(0, samples, block))
+    bank = np.concatenate([_end_states(spec, m, eps) for eps in draws])
     if chunk_size is None:
-        chunk_size = max(1, _BLOCK_BYTES // (8 * (redraws + 1) * width))
+        chunk_size = max(1, _BLOCK_BYTES // (8 * (lead + kmax + 1 + redraws * (bank.shape[1] + m + kmax + 1))))
     d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
 
     def task(start, stop):
-        eps = np.empty((stop - start, redraws + 1, width))
-        for row in range(stop - start):
-            rng = stream_generator(seed, start + row)
-            eps[row, 0] = dist.sample(rng, width)
-            eps[row, 1:, :-1] = dist.sample(rng, (redraws, width - 1))
-        fixed = width  # the redraw rows' columns fixed..W-1 hold the base's entries
-        for j, k in enumerate(grid):  # ascending: each k fixes the columns W-1-k..W-1
-            eps[:, 1:, width - 1 - k : fixed] = eps[:, :1, width - 1 - k : fixed]
-            fixed = width - 1 - k
-            paths = eps[:, :, fixed - pre_window_len - m_extra :]  # a (rows, T) view, no copy
-            x0 = np.ascontiguousarray(values_from_innovations(spec, paths)[..., -1])
+        rngs = [stream_generator(seed, i) for i in range(start, stop)]
+        base = np.array([dist.sample(rng, lead + kmax + 1) for rng in rngs])  # each stream: its path, then its picks
+        picks = np.array([rng.integers(samples, size=redraws) for rng in rngs])
+        fixed = base[:, lead:]  # eps_{-kmax..0}
+        x0 = _last_values(spec, m, _end_states(spec, m, base[:, :lead]), fixed)
+        g_base = [functional.apply(x0) for functional in functionals]
+        starts = bank[picks]  # (rows, R, m + S)
+        for j, k in enumerate(grid):
+            x0_redraw = _last_values(spec, m, starts, fixed[:, None, kmax - k :])
             for f, functional in enumerate(functionals):
-                g = functional.apply(x0)
-                g_base = g[:, 0]
-                g_redraw = np.ascontiguousarray(g[:, 1:])
+                g_redraw = functional.apply(x0_redraw)
                 # exact summation for the redraw average so identical redraws cancel
                 # exactly: finite-dependence processes then give nu_hat = 0, not noise
                 avg = np.array([math.fsum(r) for r in g_redraw]) / redraws
-                d = (g_base - avg) ** 2
+                d = (g_base[f] - avg) ** 2
                 dev = g_redraw - avg[:, None]
                 inner_var = np.einsum("ij,ij->i", dev, dev) / (redraws - 1)
                 d_all[f, j, 0, start:stop] = d
@@ -178,7 +201,7 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, pre_window_len, 
     for functional, d_f in zip(functionals, d_all):
         by_k = dict(zip(grid, map(_estimate, d_f)))
         nu, se, nu_jk = zip(*(by_k[k] for k in ks))
-        scans.append(NedScan(tuple(ks), nu, se, nu_jk, functional.label(), redraws, samples, fit_decay(ks, nu_jk)))
+        scans.append(NedScan(tuple(ks), nu, se, nu_jk, functional.label(), redraws, samples, fit_decay(ks, nu_jk, se)))
     return scans
 
 
@@ -203,19 +226,18 @@ def estimate_ned(
     redraws: int = DEFAULT_REDRAWS,
     samples: int = DEFAULT_SAMPLES,
     seed=0,
-    pre_window_len: int = DEFAULT_PRE_WINDOW,
     chunk_size: int | None = None,
     threads: int = 1,
 ) -> NedEstimate:
     """Coupling estimate of nu(k) for the given functional of the process.
 
-    This is a scan of the single width k (so W = k + pre_window_len + m + 1
-    in the module docstring's layout). Consistent (R, N -> infinity) and
-    upward-biased by Var_inner/R; the corrected value removes that bias.
-    ``chunk_size`` outer samples share one draw block (default: a block of
-    about 8 MiB); the result does not depend on it or on ``threads``.
+    This is a scan of the single width k (module docstring). Consistent
+    (R, N -> infinity) and upward-biased by Var_inner/R; the corrected value
+    removes that bias. ``chunk_size`` outer samples share one block of draws
+    and coupled rows (default: a block of about 8 MiB); the result does not
+    depend on it or on ``threads``.
     """
-    scan = _scans(spec, [functional], [k], redraws, samples, seed, pre_window_len, chunk_size, threads)[0]
+    scan = _scans(spec, [functional], [k], redraws, samples, seed, chunk_size, threads)[0]
     [(k, nu_hat, se, nu_hat_jk)] = scan.to_rows()
     return NedEstimate(k=k, nu_hat=nu_hat, se=se, nu_hat_jk=nu_hat_jk, redraws=redraws, samples=samples)
 
@@ -227,37 +249,42 @@ def ned_scan(
     redraws: int = DEFAULT_REDRAWS,
     samples: int = DEFAULT_SAMPLES,
     seed=0,
-    pre_window_len: int = DEFAULT_PRE_WINDOW,
     threads: int = 1,
 ) -> NedScan:
     """nu(k) estimates over a grid of window widths, with a decay fit.
 
-    One draw block per outer sample serves every k (module docstring), so an
-    estimate depends on max(k_values) as well as on its own k. The grid may
-    be unsorted and repeat a k; an empty grid raises ParameterError.
+    One bank and one draw per outer sample serve every k (module docstring),
+    so an estimate depends on max(k_values) as well as on its own k. The grid
+    may be unsorted and repeat a k; an empty grid raises ParameterError.
     """
-    return _scans(spec, [functional], k_values, redraws, samples, seed, pre_window_len, threads=threads)[0]
+    return _scans(spec, [functional], k_values, redraws, samples, seed, threads=threads)[0]
 
 
-def fit_decay(k_values, nu_hat) -> DecayFit:
+def fit_decay(k_values, nu_hat, se=None) -> DecayFit:
     """Least-squares decay fit: log nu vs k (geometric) and vs log k (polynomial).
 
-    Returns whichever model explains more variance; all-zero scans come back
-    degenerate (finite-dependence process).
+    Given the standard errors ``se`` of ``nu_hat``, each point weighs
+    (nu/se)^2 on log nu (the delta method); otherwise all weigh alike.
+    Returns the model with the smaller weighted residual, and its weighted
+    R^2; all-zero scans come back degenerate (finite-dependence process).
     """
     ks = np.asarray(k_values, dtype=float)
     nus = np.asarray(nu_hat, dtype=float)
     keep = (nus > 0) & (ks > 0)
+    if se is not None:
+        keep &= np.asarray(se, dtype=float) > 0
     if keep.sum() < 4:
         return DecayFit(model="degenerate", rate=0.0, r_squared=float("nan"))
     ks, log_nu = ks[keep], np.log(nus[keep])
+    sqrt_w = np.ones_like(ks) if se is None else nus[keep] / np.asarray(se, dtype=float)[keep]
+    w = sqrt_w**2
 
     def ls_fit(x):
-        slope, intercept = np.polyfit(x, log_nu, 1)
+        slope, intercept = np.polyfit(x, log_nu, 1, w=sqrt_w)
         resid = log_nu - (slope * x + intercept)
-        ss_tot = float(np.sum((log_nu - log_nu.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-        return slope, r2
+        ss_tot = float(np.sum(w * (log_nu - np.sum(w * log_nu) / np.sum(w)) ** 2))
+        r2 = 1.0 - float(np.sum(w * resid**2)) / ss_tot if ss_tot > 0 else 1.0
+        return slope, r2  # one ss_tot for both models: the larger R^2 has the smaller residual
 
     slope_g, r2_g = ls_fit(ks)
     slope_p, r2_p = ls_fit(np.log(ks))
@@ -293,7 +320,7 @@ def functional_ned_comparison(
     """
     names = ("identity", "indicator", "abs_pow")
     functionals = [Functional("identity"), Functional("indicator_leq", x_threshold), Functional("abs_pow", float(r))]
-    scans = dict(zip(names, _scans(spec, functionals, k_values, redraws, samples, seed, DEFAULT_PRE_WINDOW)))
+    scans = dict(zip(names, _scans(spec, functionals, k_values, redraws, samples, seed)))
     base = scans["identity"].fit
     consistent = True
     if base is not None and base.model == "geometric":

@@ -233,25 +233,32 @@ def innovation_driver(spec: ProcessSpec) -> InnovationDist:
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 
 
-def values_from_innovations(spec: ProcessSpec, eps: np.ndarray, strict: bool = True) -> np.ndarray:
+def values_from_innovations(spec: ProcessSpec, eps: np.ndarray, strict: bool = True, state=None, final_state=False):
     """Evaluate the causal functional over given driver innovations.
 
     ``eps`` has shape (..., T); the output drops the GARCH pre-window where
     applicable. This is the deterministic core shared by the seeded
     simulators and the coupling estimator of the NED diagnostics. With
     ``strict=False`` diverging volatility states give NaN rows instead of
-    raising, so batch callers can quarantine them.
+    raising, so batch callers can quarantine them. ``state`` (..., S) replaces
+    the starting state: the m GARCH states at the pre-window times, then the
+    ARMA filter state; ``final_state`` also returns the state after the last
+    step in that layout, from which a split path resumes bit for bit.
     """
     if isinstance(spec, IidSpec):
-        return np.asarray(eps, dtype=np.float64)
+        values = np.asarray(eps, dtype=np.float64)
+        return (values, values[..., :0]) if final_state else values
     if isinstance(spec, AugGarchSpec):
-        return garch_values_from_innovations(spec, eps, strict=strict)
+        return garch_values_from_innovations(spec, eps, strict, state, final_state)
     if isinstance(spec, ArmaSpec):
-        if isinstance(spec.innovation, AugGarchSpec):
-            inner = garch_values_from_innovations(spec.innovation, eps, strict=strict)
-        else:
-            inner = np.asarray(eps, dtype=np.float64)
-        return arma_values_from_innovations(spec, inner)
+        inner = spec.innovation if isinstance(spec.innovation, AugGarchSpec) else IidSpec(spec.innovation)
+        if state is None and not final_state:
+            return arma_values_from_innovations(spec, values_from_innovations(inner, eps, strict))
+        zero = np.zeros(np.shape(eps)[:-1] + (max(spec.p, spec.q, 1),))
+        lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
+        u, lead = values_from_innovations(inner, eps, strict, lead, True)
+        values, rest = arma_values_from_innovations(spec, u, rest)
+        return (values, np.concatenate([lead, rest], axis=-1)) if final_state else values
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 
 

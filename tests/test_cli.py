@@ -278,3 +278,25 @@ def test_ned_scan_fingerprint_covers_samples(garch_spec_file, tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
         fingerprints.append(json.loads((tmp_path / f"scan_{samples}.csv.manifest.json").read_text())["config_fingerprint"])
     assert fingerprints[0] != fingerprints[1]
+
+
+TRUTH = {"q_true": 0.0, "f_at_q": 0.4, "mu": 0.0, "m_true": 1.0, "a_r": 0.0}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"pilot": "x"}, "pilot"),
+        ({"pilot": {"n": "big"}}, "pilot.n"),
+        ({"experiment": "fclt", "t_grid": 5, "truth": TRUTH}, "t_grid"),
+        ({"se_threshold": "x", "truth": TRUTH}, "se_threshold"),
+        ({"max_lag": "x", "target": "replication_mc", "truth": TRUTH}, "max_lag"),
+    ],
+    ids=["pilot", "pilot.n", "t_grid", "se_threshold", "max_lag"],
+)
+def test_mc_malformed_config_field_exits_2(garch_spec_file, tmp_path, capsys, edit, field):
+    cfg = {"spec": json.loads((tmp_path / "garch.json").read_text()), "experiment": "clt", "n": 50, "reps": 4} | edit
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path)]) == 2
+    _assert_one_line_error(capsys, f"config.{field} must be")
