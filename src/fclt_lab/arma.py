@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NonCausalError, NumericsError, ParameterError
-from .garch import AugGarchSpec, garch_values_from_innovations
+from .garch import AugGarchSpec
 from .innovations import InnovationDist
 
 __all__ = ["ArmaSpec", "causal_ma_coefficients", "arma_values_from_innovations"]
@@ -119,11 +119,11 @@ def causal_ma_coefficients(spec: ArmaSpec, K: int) -> np.ndarray:
     return psi
 
 
-def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray | None = None):
-    """Causal ARMA filter applied along the last axis, from the zero state or,
-    returning (values, final state) as ``lfilter`` does, from the filter state
-    ``state`` (..., max(p, q, 1)). With a state a pure MA runs the recursive
-    form, not scipy's per-row FIR loop; for q >= 3 its last bits can differ."""
+def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray):
+    """Causal ARMA filter along the last axis from the filter state ``state``
+    (..., max(p, q, 1)), returning (values, final state) as ``lfilter`` does.
+    A pure MA also runs the recursive form (denominator 1 + 0z), not scipy's
+    per-row FIR loop."""
     b = np.r_[1.0, spec.theta]
-    a = np.r_[1.0, spec.phi] if state is None or spec.p else np.r_[1.0, 0.0]
+    a = np.r_[1.0, spec.phi] if spec.p else np.r_[1.0, 0.0]
     return lfilter(b, a, np.asarray(eps, dtype=np.float64), axis=-1, zi=state)

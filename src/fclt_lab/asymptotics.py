@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import approve
-from .errors import ParameterError, RefusalError, SingularityError
+from .conditions import approve, refusal
+from .errors import ParameterError, SingularityError
 from .estimators import (
     empirical_cdf,
     known_mean_abs_moment,
@@ -162,10 +162,6 @@ def _partial_expect(dist: InnovationDist, h, upper: float) -> float:
     """E[h(X) 1(X <= upper)] via quadrature split at 0 / enumeration."""
     if dist.is_discrete:
         return 0.5 * sum(float(h(x)) for x in (-1.0, 1.0) if x <= upper)
-
-    def clipped(x):
-        return np.where(np.asarray(x) <= upper, h(x), 0.0)
-
     # integrate only below the cutoff; keep the split at 0 for kink safety
     lo, hi = dist.support()
     cut = min(upper, hi)
@@ -238,9 +234,7 @@ def gamma_target_with_se(lrc: TrivariateLRC, a_r: float) -> tuple[Gamma2, np.nda
     gamma = gamma_from_trivariate(lrc, a_r)
     if lrc.rep_sigma is None:
         raise ParameterError("per-replication estimates are only available from replication MC")
-    reps = np.asarray(lrc.rep_sigma)
-    A = np.array([[0.0, 0.0, 1.0], [-a_r, 1.0, 0.0]])
-    mapped = np.einsum("ai,rij,bj->rab", A, reps, A)
+    mapped = _congruence(np.asarray(lrc.rep_sigma), a_r)
     se = mapped.std(axis=0, ddof=1) / math.sqrt(mapped.shape[0])
     return gamma, se
 
@@ -332,7 +326,6 @@ def trivariate_long_run_cov_mc(
     n_reps: int = 400,
     seed=0,
     burn_in: int | None = None,
-    check_conditions: bool = True,
     chunk_size: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> TrivariateLRC:
@@ -351,15 +344,9 @@ def trivariate_long_run_cov_mc(
         raise ParameterError("n_per_rep must be >= 2")
     if not f_at_q > 0:
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
-    if check_conditions:
-        ok, reports = approve(spec, r)
-        if not ok:
-            failed = [rep for rep in reports if not rep.satisfied]
-            raise RefusalError(
-                "spec fails the admissibility conditions: "
-                + "; ".join(f"{rep.condition_name}={rep.computed_value:.6g}" for rep in failed),
-                reports=failed,
-            )
+    ok, reports = approve(spec, r)
+    if not ok:
+        raise refusal(reports)
 
     rep_sigma = np.empty((n_reps, 3, 3))
     n_chunks = (n_reps + chunk_size - 1) // chunk_size

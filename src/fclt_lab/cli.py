@@ -7,24 +7,26 @@ wall time; JSON outputs embed the manifest, CSV outputs carry the hash in a
 leading comment line that the toolkit's readers skip, and the full manifest
 is also written as a .manifest.json sidecar.
 
-Exit codes: 0 success, 1 refused preconditions (condition report on stderr),
-2 I/O or parse errors (argparse also exits 2 on unknown flags).
+Exit codes: 0 success; 1 refused preconditions (one ``refused:`` line on
+stderr, then the failing condition reports); 2 malformed input or I/O errors
+(one ``error:`` line naming the field; argparse also exits 2 on unknown flags).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
-import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import gamma_from_trivariate, trivariate_long_run_cov_mc
+from .asymptotics import Gamma2, gamma_from_trivariate, trivariate_long_run_cov_mc
 from .conditions import check_spec
 from .errors import FcltLabError, ParameterError, RefusalError
 from .estimators import estimator_vector
@@ -38,19 +40,23 @@ from .harness import (
 from .ned import DEFAULT_REDRAWS, DEFAULT_SAMPLES, Functional, ned_scan
 from .processes import (
     _field,
+    _finite,
     _integer,
+    _integers,
     _number,
     _numbers,
     _object,
+    _required,
+    _seed,
+    _text,
     path_from_csv,
     path_to_csv,
     simulate,
     spec_from_obj,
     spec_to_obj,
 )
-from .truth import Truth, resolve_truth
-
-ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+from .rng import seed_key
+from .truth import TRUTH_ENTRIES, Truth, resolve_truth
 
 
 def _dump_json(obj) -> str:
@@ -64,17 +70,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=default)
 
 
-def _make_manifest(command: str, config_obj, seed, outputs: list[str], t0: float) -> dict:
+def _make_manifest(args, config_obj, seed, t0: float, *more_outputs: str | None) -> dict:
     fingerprint = hashlib.sha256(
         json.dumps(config_obj, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_fingerprint": fingerprint,
         "master_seed": seed,
         "toolkit_version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
-        "outputs": outputs,
+        "outputs": [path for path in (args.out, *more_outputs) if path],
     }
     manifest["manifest_hash"] = hashlib.sha256(
         json.dumps(manifest, sort_keys=True).encode()
@@ -82,21 +88,28 @@ def _make_manifest(command: str, config_obj, seed, outputs: list[str], t0: float
     return manifest
 
 
-def _write_manifest_sidecar(out_path: str, manifest: dict):
-    with open(out_path + ".manifest.json", "w") as fh:
-        fh.write(_dump_json(manifest) + "\n")
+def _write(path: str, text: str):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-def _emit_json(obj, out_path: str | None, manifest: dict):
-    payload = dict(obj)
-    payload["manifest"] = manifest
-    text = _dump_json(payload) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        _write_manifest_sidecar(out_path, manifest)
-    else:
+def _emit(text: str, out: str | None, manifest: dict):
+    """Write a command's output to ``out`` with its .manifest.json sidecar, or to stdout."""
+    if out is None:
         sys.stdout.write(text)
+    else:
+        _write(out, text)
+        _write(out + ".manifest.json", _dump_json(manifest) + "\n")
+
+
+def _json_text(obj: dict, manifest: dict) -> str:
+    return _dump_json(obj | {"manifest": manifest}) + "\n"
+
+
+def _csv_text(header: str, rows, manifest: dict) -> str:
+    lines = [f"# manifest_hash={manifest['manifest_hash']}", header]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _read_json(path: str):
@@ -104,11 +117,7 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _IOFailure(f"cannot read {path}: {exc}")
-
-
-class _IOFailure(Exception):
-    pass
+        raise ParameterError(f"cannot read {path}: {exc}")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -118,49 +127,33 @@ def _cmd_simulate(args) -> int:
     t0 = time.time()
     spec = spec_from_obj(_read_json(args.spec))
     path = simulate(spec, args.n, args.burn_in, args.seed)
-    manifest = _make_manifest("simulate", spec_to_obj(spec), args.seed, [args.out], t0)
-    with open(args.out, "w", newline="") as fh:
-        path_to_csv(path, fh, comments=[f"manifest_hash={manifest['manifest_hash']}"])
-    _write_manifest_sidecar(args.out, manifest)
+    manifest = _make_manifest(args, spec_to_obj(spec), args.seed, t0)
+    text = io.StringIO()
+    path_to_csv(path, text, comments=[f"manifest_hash={manifest['manifest_hash']}"])
+    _emit(text.getvalue(), args.out, manifest)
     return 0
 
 
 def _cmd_check(args) -> int:
     t0 = time.time()
     spec_obj = _read_json(args.spec)
-    spec = spec_from_obj(spec_obj)
-    reports = check_spec(spec, args.r)
-    manifest = _make_manifest("check", {"spec": spec_obj, "r": args.r}, None, [args.out] if args.out else [], t0)
+    reports = check_spec(spec_from_obj(spec_obj), args.r)
+    manifest = _make_manifest(args, {"spec": spec_obj, "r": args.r}, None, t0)
     # the check output is a JSON array of condition reports; each element
     # references the run manifest hash
-    payload = []
-    for rep in reports:
-        obj = rep.to_obj()
-        obj["manifest_hash"] = manifest["manifest_hash"]
-        payload.append(obj)
-    text = _dump_json(payload) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest_sidecar(args.out, manifest)
-    else:
-        sys.stdout.write(text)
+    payload = [rep.to_obj() | {"manifest_hash": manifest["manifest_hash"]} for rep in reports]
+    _emit(_dump_json(payload) + "\n", args.out, manifest)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     t0 = time.time()
-    try:
-        with open(args.input) as fh:
-            values = path_from_csv(fh)
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {args.input}: {exc}")
+    with open(args.input) as fh:
+        values = path_from_csv(fh)
     pair = estimator_vector(values, args.p, args.r)
-    manifest = _make_manifest(
-        "estimate", {"input": args.input, "p": args.p, "r": args.r}, None, [args.out] if args.out else [], t0
-    )
+    manifest = _make_manifest(args, {"input": args.input, "p": args.p, "r": args.r}, None, t0)
     obj = {"q_hat": pair.q_hat, "m_hat": pair.m_hat, "n": pair.n, "p": pair.p, "r": pair.r}
-    _emit_json(obj, args.out, manifest)
+    _emit(_json_text(obj, manifest), args.out, manifest)
     return 0
 
 
@@ -179,7 +172,7 @@ def _cmd_ned_scan(args) -> int:
         threads=args.threads,
     )
     manifest = _make_manifest(
-        "ned-scan",
+        args,
         {
             "spec": spec_obj,
             "functional": args.functional,
@@ -188,19 +181,9 @@ def _cmd_ned_scan(args) -> int:
             "redraws": args.redraws,
         },
         args.seed,
-        [args.out] if args.out else [],
         t0,
     )
-    lines = [f"# manifest_hash={manifest['manifest_hash']}", "k,nu_hat,se,nu_hat_jk"]
-    for k, nu, se, nu_jk in scan.to_rows():
-        lines.append(f"{k},{nu!r},{se!r},{nu_jk!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        _write_manifest_sidecar(args.out, manifest)
-    else:
-        sys.stdout.write(text)
+    _emit(_csv_text("k,nu_hat,se,nu_hat_jk", scan.to_rows(), manifest), args.out, manifest)
     if scan.fit is not None:
         sys.stderr.write(
             f"fit: {scan.fit.model} rate={scan.fit.rate:.4g} r_squared={scan.fit.r_squared:.4g}\n"
@@ -210,50 +193,66 @@ def _cmd_ned_scan(args) -> int:
 
 def _resolve_mc_truth(cfg_obj: dict, spec, p: float, r: int) -> Truth:
     if "truth" in cfg_obj:
-        t = cfg_obj["truth"]
-        provided = {k: "config" for k in ("q_true", "f_at_q", "mu", "m_true", "a_r") if t.get(k) is not None}
-        return Truth(
-            q_true=t.get("q_true"),
-            f_at_q=t.get("f_at_q"),
-            mu=t.get("mu"),
-            m_true=t.get("m_true"),
-            a_r=t.get("a_r"),
-            p=p,
-            r=r,
-            provenance=provided,
-        )
+        given = _object(cfg_obj["truth"], "config.truth")
+        entries = {key: _field(given, key, "config.truth", _finite) for key in TRUTH_ENTRIES}
+        provenance = {key: "config" for key, value in entries.items() if value is not None}
+        return Truth(**entries, p=p, r=r, provenance=provenance)
     pilot = _object(cfg_obj.get("pilot", {}), "config.pilot")
     pilot_n = _field(pilot, "n", "config.pilot", _integer, 10_000_000)
-    return resolve_truth(spec, p, r, seed=pilot.get("seed", 0), pilot_n=pilot_n)
+    pilot_seed = _field(pilot, "seed", "config.pilot", _seed, 0)
+    return resolve_truth(spec, p, r, seed=pilot_seed, pilot_n=pilot_n)
 
 
 def _cmd_mc(args) -> int:
     t0 = time.time()
-    cfg_obj = _read_json(args.config)
+    # looked up at call time: the benchmark's tracer patches these module attributes
+    runners = {
+        "clt": run_clt_experiment,
+        "fclt": run_fclt_experiment,
+        "bahadur": run_bahadur_experiment,
+        "representation": run_representation_experiment,
+    }
+    cfg_obj = _object(_read_json(args.config), "config")
     # explicit flags override the config file
     for key in ("p", "r", "n", "reps", "seed"):
         value = getattr(args, key)
         if value is not None:
             cfg_obj[key] = value
-    try:
-        spec = spec_from_obj(cfg_obj["spec"])
-        experiment = cfg_obj.get("experiment", "clt")
-        p = float(cfg_obj.get("p", 0.5))
-        r = int(cfg_obj.get("r", 2))
-        seed = cfg_obj.get("seed", 0)
-        reps = int(cfg_obj.get("reps", 100))
-        n = int(cfg_obj.get("n", cfg_obj.get("n_ladder", [1000])[-1] if "n_ladder" in cfg_obj else 1000))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _IOFailure(f"bad config {args.config}: {exc}")
+    spec = spec_from_obj(cfg_obj.get("spec"))
+    experiment = _field(cfg_obj, "experiment", "config", _text, "clt")
+    if experiment not in runners:
+        raise ParameterError(f"config.experiment must be one of {', '.join(runners)}, got {experiment!r}")
+    p = float(_field(cfg_obj, "p", "config", _number, 0.5))
+    r = _field(cfg_obj, "r", "config", _integer, 2)
+    seed = _field(cfg_obj, "seed", "config", _seed, 0)  # as given: a list enters the fingerprint as one
+    reps = _field(cfg_obj, "reps", "config", _integer, 100)
+    n_ladder = _field(cfg_obj, "n_ladder", "config", _integers)
+    n = _field(cfg_obj, "n", "config", _integer, int(n_ladder[-1]) if n_ladder else 1000)
     t_grid = _field(cfg_obj, "t_grid", "config", _numbers)
     se_threshold = float(_field(cfg_obj, "se_threshold", "config", _number, 3.0))
     max_lag = _field(cfg_obj, "max_lag", "config", _integer, 50)
+    tgt = cfg_obj.get("target")
+    if isinstance(tgt, dict):
+        gamma = {key: _required(tgt, key, "config.target", _finite) for key in ("g11", "g22", "g12")}
+        target_a_r = _field(tgt, "a_r", "config.target", _finite)
+    elif tgt not in (None, "replication_mc"):
+        raise ParameterError(f'config.target must be "replication_mc" or a JSON object, got {tgt!r}')
+    cfg = ExperimentConfig(
+        spec=spec,
+        p=p,
+        r=r,
+        n=n,
+        reps=reps,
+        seed=seed,
+        t_grid=t_grid,
+        n_ladder=n_ladder,
+        se_threshold=se_threshold,
+    )
     truth = _resolve_mc_truth(cfg_obj, spec, p, r)
 
-    target = None
-    target_lrc_obj = None
-    tgt = cfg_obj.get("target")
+    target = target_lrc_obj = None
     if tgt == "replication_mc":
+        truth.require("q_true", "f_at_q", "a_r")
         lrc = trivariate_long_run_cov_mc(
             spec,
             p,
@@ -263,69 +262,26 @@ def _cmd_mc(args) -> int:
             max_lag=max_lag,
             n_per_rep=n,
             n_reps=reps,
-            seed=(seed, 10_000_000),
+            seed=seed_key(seed) + (10_000_000,),
             threads=args.threads,
         )
         target = gamma_from_trivariate(lrc, truth.a_r)
         target_lrc_obj = lrc.to_obj() | target.to_obj()
-    elif isinstance(tgt, dict):
-        from .asymptotics import Gamma2
+    elif tgt is not None:
+        target = Gamma2(**gamma, a_r=float(truth.a_r or 0.0 if target_a_r is None else target_a_r))
 
-        missing = [f"target.{k}" for k in ("g11", "g12", "g22") if k not in tgt]
-        if missing:
-            raise ParameterError(f"config lacks {', '.join(missing)}")
+    report = runners[experiment](replace(cfg, truth=truth, target=target), threads=args.threads)
 
-        def entry(key, default=None):
-            raw = tgt.get(key, default)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParameterError(f"target.{key} must be a finite number, got {raw!r}")
-            return value
-
-        target = Gamma2(g11=entry("g11"), g22=entry("g22"), g12=entry("g12"), a_r=entry("a_r", truth.a_r or 0.0))
-
-    cfg = ExperimentConfig(
-        spec=spec,
-        p=p,
-        r=r,
-        n=n,
-        reps=reps,
-        seed=seed,
-        truth=truth,
-        target=target,
-        t_grid=t_grid,
-        n_ladder=tuple(cfg_obj["n_ladder"]) if "n_ladder" in cfg_obj else None,
-        se_threshold=se_threshold,
-    )
-    runners = {
-        "clt": run_clt_experiment,
-        "fclt": run_fclt_experiment,
-        "bahadur": run_bahadur_experiment,
-        "representation": run_representation_experiment,
-    }
-    if experiment not in runners:
-        raise _IOFailure(f"unknown experiment {experiment!r}")
-    report = runners[experiment](cfg, threads=args.threads)
-
-    outputs = [args.out] if args.out else []
     csv_out = None
     if experiment in ("bahadur", "representation") and args.out:
         csv_out = os.path.splitext(args.out)[0] + ".csv"
-        outputs.append(csv_out)
-    manifest = _make_manifest("mc", cfg_obj, seed, outputs, t0)
+    manifest = _make_manifest(args, cfg_obj, seed, t0, csv_out)
     obj = {"experiment": experiment, "truth": truth.to_obj(), "report": report.to_obj()}
     if target_lrc_obj is not None:
         obj["target_long_run_cov"] = target_lrc_obj
-    _emit_json(obj, args.out, manifest)
+    _emit(_json_text(obj, manifest), args.out, manifest)
     if csv_out is not None:
-        lines = [f"# manifest_hash={manifest['manifest_hash']}", "n,median,p90,std,se"]
-        for row in report.rows():
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        with open(csv_out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(csv_out, _csv_text("n,median,p90,std,se", report.rows(), manifest))
     return 0
 
 
@@ -372,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     ned.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=f"outer samples (default {DEFAULT_SAMPLES})")
     ned.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ned.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    ned.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (results are independent of this; default logical cores)",
-    )
     ned.set_defaults(fn=_cmd_ned_scan)
 
     mc = sub.add_parser("mc", help="run a Monte Carlo experiment from a JSON config")
@@ -388,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--n", type=int, default=None, help="override the config path length")
     mc.add_argument("--reps", type=int, default=None, help="override the config replication count")
     mc.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    mc.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (results are independent of this; default logical cores)",
-    )
     mc.set_defaults(fn=_cmd_mc)
+    for cmd in (ned, mc):
+        cmd.add_argument(
+            "--threads",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="worker threads (results are independent of this; default logical cores)",
+        )
     return parser
 
 
@@ -408,15 +359,12 @@ def main(argv=None) -> int:
         for rep in exc.reports:
             sys.stderr.write(_dump_json(rep.to_obj()) + "\n")
         return 1
-    except _IOFailure as exc:
+    except (ParameterError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FcltLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1 if not isinstance(exc, ParameterError) else 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except FcltLabError as exc:  # a precondition found violated or unverifiable on the way
+        sys.stderr.write(f"refused: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ plus a tail-growth probe and may come back inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .arma import ArmaSpec
-from .errors import ParameterError, WrongGroupError
+from .errors import ParameterError, RefusalError, WrongGroupError
 from .garch import AugGarchSpec, EXPONENTIAL_MODELS
 from .innovations import InnovationDist
 from .processes import IidSpec, ProcessSpec
@@ -42,6 +42,7 @@ __all__ = [
     "table_closed_form_report",
     "check_spec",
     "approve",
+    "refusal",
 ]
 
 MARGIN = 1e-10  # strict inequalities enforced with this margin
@@ -66,16 +67,7 @@ class ConditionReport:
     discrepancy_note: str | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "condition_name": self.condition_name,
-            "satisfied": self.satisfied,
-            "computed_value": self.computed_value,
-            "threshold": self.threshold,
-            "method": self.method,
-            "direction": self.direction,
-            "order": self.order,
-            "discrepancy_note": self.discrepancy_note,
-        }
+        return asdict(self)
 
 
 def _verdict(value: float, threshold: float, direction: str) -> tuple[bool, str | None]:
@@ -114,14 +106,9 @@ def moment_functional(dist: InnovationDist, f, s: float) -> float:
     return dist.expect(lambda x: float(np.abs(f(x))) ** s)
 
 
-def _c_norm_sum(spec: AugGarchSpec, s: float) -> float:
-    dist = spec.innovation
-    return float(sum(moment_functional(dist, c, s) ** (1.0 / s) for c in spec.c_transforms()))
-
-
-def _g_norm_sum(spec: AugGarchSpec, s: float) -> float:
-    dist = spec.innovation
-    return float(sum(moment_functional(dist, g, s) ** (1.0 / s) for g in spec.g_transforms()))
+def _norm_sum(dist: InnovationDist, transforms, s: float) -> float:
+    """sum_j ||f_j(eps)||_s over the given transforms of the innovation."""
+    return float(sum(moment_functional(dist, f, s) ** (1.0 / s) for f in transforms))
 
 
 # --- causality ------------------------------------------------------------------
@@ -185,8 +172,8 @@ def check_polynomial_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
         raise ParameterError("r must be a positive integer")
     s = max(1.0, float(r) / spec.lam_exponent)
     positivity = check_positivity(spec)
-    g_sum = _g_norm_sum(spec, s)  # must be finite; quadrature raises otherwise
-    c_sum = _c_norm_sum(spec, s)
+    g_sum = _norm_sum(spec.innovation, spec.g_transforms(), s)  # must be finite; quadrature raises otherwise
+    c_sum = _norm_sum(spec.innovation, spec.c_transforms(), s)
     ok, boundary = _verdict(c_sum, 1.0, "below")
     note = boundary
     if not positivity.satisfied:
@@ -413,14 +400,8 @@ def check_spec(spec: ProcessSpec, r: int) -> list[ConditionReport]:
         if isinstance(spec.innovation, AugGarchSpec):
             stat = check_garch_stationarity(spec.innovation)
             if spec.innovation.innovation.is_discrete:
-                stat = ConditionReport(
-                    condition_name=stat.condition_name,
-                    satisfied=stat.satisfied,
-                    computed_value=stat.computed_value,
-                    threshold=stat.threshold,
-                    method=stat.method,
-                    direction=stat.direction,
-                    order=stat.order,
+                stat = replace(
+                    stat,
                     discrepancy_note="innovation law is discrete: absolute regularity of the "
                     "GARCH innovations needs a positive density near 0",
                 )
@@ -449,3 +430,15 @@ def approve(spec: ProcessSpec, r: int) -> tuple[bool, list[ConditionReport]]:
     reports = check_spec(spec, r)
     ok = all(rep.satisfied for rep in reports if rep.condition_name in _GATING)
     return ok, reports
+
+
+def refusal(reports: list[ConditionReport]) -> RefusalError:
+    """The refusal of a run whose ``approve`` failed, citing every unsatisfied report."""
+    failed = [rep for rep in reports if not rep.satisfied]
+    return RefusalError(
+        "conditions fail: "
+        + "; ".join(
+            f"{rep.condition_name} computed={rep.computed_value:.6g} threshold={rep.threshold:g}" for rep in failed
+        ),
+        reports=failed,
+    )

@@ -25,7 +25,6 @@ states on: the bits do not depend on the tiling; memory is output + O(batch x ti
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -12,12 +12,12 @@ reports are byte-identical for any --threads value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import Gamma2, bahadur_remainder, representation_gap
-from .conditions import approve
+from .conditions import approve, refusal
 from .errors import ParameterError, RefusalError
 from .estimators import centred_abs_moment, partial_sum_process, sample_quantile
 from .parallel import DEFAULT_CHUNK, run_chunked
@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ParameterError("r must be a positive integer")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
+        if not self.se_threshold > 0:
+            raise ParameterError("se_threshold must be > 0")
 
 
 @dataclass(frozen=True)
@@ -173,21 +175,10 @@ class DecayTable:
 def _refuse_if_inadmissible(cfg: ExperimentConfig, require=("q_true", "m_true"), need_density: bool = True):
     ok, reports = approve(cfg.spec, cfg.r)
     if not ok:
-        failed = [rep for rep in reports if not rep.satisfied]
-        raise RefusalError(
-            "experiment refused, conditions fail: "
-            + "; ".join(
-                f"{rep.condition_name} computed={rep.computed_value:.6g} threshold={rep.threshold:g}"
-                for rep in failed
-            ),
-            reports=failed,
-        )
+        raise refusal(reports)
     if cfg.truth is None:
         raise RefusalError("experiment refused: no truth values supplied")
-    if require:
-        missing = [k for k in require if getattr(cfg.truth, k) is None]
-        if missing:
-            raise RefusalError(f"experiment refused: truth entries missing: {', '.join(missing)}")
+    cfg.truth.require(*require)
     if need_density and (cfg.truth.f_at_q is None or not cfg.truth.f_at_q > 0):
         raise RefusalError(
             "experiment refused: positive density at the quantile is unverifiable (f_at_q absent or <= 0)"

@@ -112,24 +112,55 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite(value):
+    if not math.isfinite(_number(value)):
+        raise ValueError(value)
+    return value
+
+
 def _numbers(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError(value)
     return tuple(_number(v) for v in value)
 
 
-_EXPECTED = {_text: "a string", _number: "a number", _integer: "an integer", _numbers: "a list of numbers"}
+def _integers(value) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise TypeError(value)
+    for v in value:
+        _integer(v)
+    return tuple(value)  # as given, like _number: the entries enter config fingerprints
+
+
+def _seed(value):
+    """An integer, or a non-empty list of integers that stays a list."""
+    return list(_integers(value)) if isinstance(value, list) else _integer(value)
+
+
+_EXPECTED = {
+    _text: "a string",
+    _number: "a number",
+    _finite: "a finite number",
+    _integer: "an integer",
+    _numbers: "a list of numbers",
+    _integers: "a non-empty list of integers",
+    _seed: "an integer or a non-empty list of integers",
+}
 
 
 def _field(obj: dict, key: str, where: str, convert, default=None):
     """``obj[key]`` through ``convert``; an absent or null field gives ``default``."""
+    return default if obj.get(key) is None else _required(obj, key, where, convert)
+
+
+def _required(obj: dict, key: str, where: str, convert):
+    """``obj[key]`` through ``convert``; an absent or null field is malformed too."""
     value = obj.get(key)
-    if value is None:
-        return default
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{where}.{key} must be {_EXPECTED[convert]}, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        got = "nothing" if value is None else repr(value)
+        raise ParameterError(f"{where}.{key} must be {_EXPECTED[convert]}, got {got}") from None
 
 
 def spec_to_obj(spec: ProcessSpec) -> dict:
@@ -252,8 +283,6 @@ def values_from_innovations(spec: ProcessSpec, eps: np.ndarray, strict: bool = T
         return garch_values_from_innovations(spec, eps, strict, state, final_state)
     if isinstance(spec, ArmaSpec):
         inner = spec.innovation if isinstance(spec.innovation, AugGarchSpec) else IidSpec(spec.innovation)
-        if state is None and not final_state:
-            return arma_values_from_innovations(spec, values_from_innovations(inner, eps, strict))
         zero = np.zeros(np.shape(eps)[:-1] + (max(spec.p, spec.q, 1),))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
         u, lead = values_from_innovations(inner, eps, strict, lead, True)

@@ -11,24 +11,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import stats as sps
 
 from .arma import ArmaSpec, causal_ma_coefficients
 from .asymptotics import a_r_from_sample, a_r_quadrature, gaussian_kde_at
-from .errors import ParameterError
+from .errors import ParameterError, RefusalError
 from .garch import AugGarchSpec
 from .innovations import InnovationDist
 from .parallel import run_chunked
 from .processes import IidSpec, ProcessSpec, simulate_batch, spec_fingerprint
 from .estimators import known_mean_abs_moment, sample_mean, sample_quantile
 
-__all__ = ["Truth", "closed_form_truth", "pilot_truth", "truth_from_sample", "resolve_truth"]
+__all__ = ["Truth", "TRUTH_ENTRIES", "closed_form_truth", "pilot_truth", "truth_from_sample", "resolve_truth"]
 
 PILOT_N = 10_000_000
 PILOT_PATHS = 64  # the pilot pools this many independent stationary paths
+TRUTH_ENTRIES = ("q_true", "f_at_q", "mu", "m_true", "a_r")
 
 
 @dataclass(frozen=True)
@@ -46,22 +47,13 @@ class Truth:
     pilot_fingerprint: str | None = None
 
     def require(self, *names: str):
+        """Refuse the run unless every named entry is known."""
         missing = [k for k in names if getattr(self, k) is None]
         if missing:
-            raise ParameterError(f"truth entries missing: {', '.join(missing)}")
+            raise RefusalError(f"truth entries missing: {', '.join(missing)}")
 
     def to_obj(self) -> dict:
-        return {
-            "q_true": self.q_true,
-            "f_at_q": self.f_at_q,
-            "mu": self.mu,
-            "m_true": self.m_true,
-            "a_r": self.a_r,
-            "p": self.p,
-            "r": self.r,
-            "provenance": dict(self.provenance),
-            "pilot_fingerprint": self.pilot_fingerprint,
-        }
+        return asdict(self)
 
 
 def _normal_marginal_truth(sigma_x: float, p: float, r: int) -> Truth:
@@ -69,7 +61,7 @@ def _normal_marginal_truth(sigma_x: float, p: float, r: int) -> Truth:
     f = float(sps.norm.pdf(q / sigma_x) / sigma_x)
     # E|Z|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
     abs_moment = 2.0 ** (r / 2.0) * math.gamma((r + 1) / 2.0) / math.sqrt(math.pi)
-    tags = {k: "closed-form" for k in ("q_true", "f_at_q", "mu", "m_true", "a_r")}
+    tags = dict.fromkeys(TRUTH_ENTRIES, "closed-form")
     return Truth(
         q_true=q,
         f_at_q=f,
@@ -101,7 +93,7 @@ def closed_form_truth(spec: ProcessSpec, p: float, r: int) -> Truth | None:
         f = float(dist.pdf(q))
         mu = dist.expect(lambda x: x)
         m_true = dist.expect(lambda x: np.abs(x - mu) ** r)
-        tags = {k: "closed-form" for k in ("q_true", "f_at_q", "mu", "m_true", "a_r")}
+        tags = dict.fromkeys(TRUTH_ENTRIES, "closed-form")
         return Truth(q, f, mu, m_true, a_r_quadrature(dist, r, mu), p, r, provenance=tags)
     if isinstance(spec, ArmaSpec) and isinstance(spec.innovation, InnovationDist):
         if spec.innovation.kind == "standard_normal":
@@ -141,7 +133,7 @@ def truth_from_sample(values: np.ndarray, p: float, r: int, provenance_tag: str 
     mu = sample_mean(x)
     m_true = known_mean_abs_moment(x, r, mu)  # the centred moment, mean not recomputed
     a_r = a_r_from_sample(x, r, mu)
-    tags = {k: provenance_tag for k in ("q_true", "f_at_q", "mu", "m_true", "a_r")}
+    tags = dict.fromkeys(TRUTH_ENTRIES, provenance_tag)
     return Truth(q, f, mu, m_true, a_r, p, r, provenance=tags)
 
 
@@ -158,6 +150,8 @@ def pilot_truth(
     Entries with exact closed forms (mean / a_r under symmetry, the GARCH
     variance) override the sample estimates, with provenance recorded.
     """
+    if n < 1:
+        raise ParameterError(f"pilot n must be >= 1, got {n}")
     per_path = max(1, math.ceil(n / PILOT_PATHS))
     values = np.empty((PILOT_PATHS, per_path))
 
@@ -174,22 +168,9 @@ def pilot_truth(
     ).hexdigest()[:16]
     tag = f"pilot-mc(n={n}, seed={seed}, fingerprint={fp})"
     est = truth_from_sample(pooled, p, r, provenance_tag=tag)
-
-    entries = est.to_obj()
-    for key, val in _partial_closed_entries(spec, r).items():
-        entries[key] = val
-        entries["provenance"][key] = "closed-form"
-    return Truth(
-        q_true=entries["q_true"],
-        f_at_q=entries["f_at_q"],
-        mu=entries["mu"],
-        m_true=entries["m_true"],
-        a_r=entries["a_r"],
-        p=p,
-        r=r,
-        provenance=entries["provenance"],
-        pilot_fingerprint=fp,
-    )
+    closed = _partial_closed_entries(spec, r)
+    provenance = est.provenance | dict.fromkeys(closed, "closed-form")
+    return replace(est, **closed, provenance=provenance, pilot_fingerprint=fp)
 
 
 def resolve_truth(spec: ProcessSpec, p: float, r: int, seed=0, pilot_n: int = PILOT_N) -> Truth:

@@ -169,6 +169,18 @@ def test_bad_csv_exits_2(tmp_path, capsys):
     assert main(["estimate", "--input", str(bad), "--p", "0.5", "--r", "2"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "estimate"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"x\n1.0\n\xff\n")
+    argv = {
+        "check": ["check", "--spec", str(path), "--r", "2"],
+        "estimate": ["estimate", "--input", str(path), "--p", "0.5", "--r", "2"],
+    }
+    assert main(argv[command]) == 2
+    _assert_one_line_error(capsys, "utf-8")
+
+
 def test_unknown_flag_exits_2(garch_spec_file):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--spec", garch_spec_file, "--r", "1", "--frobnicate"])
@@ -291,12 +303,76 @@ TRUTH = {"q_true": 0.0, "f_at_q": 0.4, "mu": 0.0, "m_true": 1.0, "a_r": 0.0}
         ({"experiment": "fclt", "t_grid": 5, "truth": TRUTH}, "t_grid"),
         ({"se_threshold": "x", "truth": TRUTH}, "se_threshold"),
         ({"max_lag": "x", "target": "replication_mc", "truth": TRUTH}, "max_lag"),
+        ({"truth": TRUTH | {"q_true": "x"}}, "truth.q_true"),
+        ({"truth": "x"}, "truth"),
+        ({"experiment": "bahadur", "n_ladder": ["a", 100], "truth": TRUTH}, "n_ladder"),
+        ({"experiment": "bahadur", "n_ladder": 100, "truth": TRUTH}, "n_ladder"),
+        ({"experiment": "bahadur", "n_ladder": [], "truth": TRUTH}, "n_ladder"),
+        ({"seed": "x", "truth": TRUTH}, "seed"),
+        ({"experiment": ["clt"], "truth": TRUTH}, "experiment"),
+        ({"experiment": "other", "truth": TRUTH}, "experiment"),
+        ({"target": "other", "truth": TRUTH}, "target"),
+        (lambda cfg: [cfg], None),
     ],
-    ids=["pilot", "pilot.n", "t_grid", "se_threshold", "max_lag"],
+    ids=[
+        "pilot",
+        "pilot.n",
+        "t_grid",
+        "se_threshold",
+        "max_lag",
+        "truth.q_true",
+        "truth",
+        "n_ladder-entry",
+        "n_ladder-not-list",
+        "n_ladder-empty",
+        "seed",
+        "experiment-not-string",
+        "experiment-unknown",
+        "target-unknown",
+        "config-array",
+    ],
 )
 def test_mc_malformed_config_field_exits_2(garch_spec_file, tmp_path, capsys, edit, field):
-    cfg = {"spec": json.loads((tmp_path / "garch.json").read_text()), "experiment": "clt", "n": 50, "reps": 4} | edit
+    cfg = {"spec": json.loads((tmp_path / "garch.json").read_text()), "experiment": "clt", "n": 50, "reps": 4}
+    cfg = edit(cfg) if callable(edit) else cfg | edit
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["mc", "--config", str(cfg_path)]) == 2
-    _assert_one_line_error(capsys, f"config.{field} must be")
+    _assert_one_line_error(capsys, "config must be" if field is None else f"config.{field} must be")
+
+
+@pytest.mark.parametrize("entry", ["q_true", "f_at_q", "a_r"])
+def test_mc_replication_target_incomplete_truth_refuses(garch_spec_file, tmp_path, capsys, entry):
+    truth = {k: v for k, v in TRUTH.items() if k != entry}
+    cfg = {
+        "spec": json.loads((tmp_path / "garch.json").read_text()),
+        "n": 50,
+        "reps": 4,
+        "truth": truth,
+        "target": "replication_mc",
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("refused:") and entry in err
+
+
+def test_mc_replication_target_takes_a_list_seed(garch_spec_file, tmp_path):
+    cfg = {
+        "spec": json.loads((tmp_path / "garch.json").read_text()),
+        "n": 50,
+        "reps": 4,
+        "seed": [3, 1],
+        "max_lag": 2,
+        "truth": TRUTH,
+        "target": "replication_mc",
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    assert main(["mc", "--config", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert report["manifest"]["master_seed"] == [3, 1]
+    assert report["target_long_run_cov"]["method"] == "replication_mc"

@@ -156,3 +156,6 @@ def test_config_validation():
         ExperimentConfig(spec=IID, p=1.5, r=2, n=100, reps=10, seed=1, truth=truth)
     with pytest.raises(ParameterError):
         ExperimentConfig(spec=IID, p=0.5, r=0, n=100, reps=10, seed=1, truth=truth)
+    for threshold in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="se_threshold"):
+            ExperimentConfig(spec=IID, p=0.5, r=2, n=100, reps=10, seed=1, truth=truth, se_threshold=threshold)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fclt_lab.arma import ArmaSpec
+from fclt_lab.errors import ParameterError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.innovations import InnovationDist
 from fclt_lab.processes import IidSpec
@@ -54,6 +55,14 @@ def test_pilot_truth_garch_overrides_closed_entries():
     # the GARCH(1,1) marginal has heavier tails than normal but a similar scale
     assert 1.2 < t.q_true < 2.6
     assert t.f_at_q > 0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_pilot_truth_refuses_non_positive_n(n):
+    # n = -1 used to slice the pooled draws to all but the last one
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    with pytest.raises(ParameterError, match="pilot n"):
+        pilot_truth(spec, 0.5, 2, n=n)
 
 
 def test_pilot_truth_reproducible():
