@@ -171,7 +171,7 @@ def spec_to_obj(spec: ProcessSpec) -> dict:
             raise ParameterError("generic augmented-GARCH specs are not JSON-serializable")
         return {
             "model": spec.model,
-            "lambda": "log" if spec.is_exponential else "power",
+            "lambda": _lambda(spec),
             "delta": spec.delta,
             "p": spec.p,
             "q": spec.q,
@@ -221,7 +221,7 @@ def _spec_from_obj(obj, where: str) -> ProcessSpec:
             theta=_field(obj, "theta", where, _numbers, ()),
             innovation=innovation,
         )
-    return AugGarchSpec(
+    spec = AugGarchSpec(
         model=model,
         p=_field(obj, "p", where, _integer, 1),
         q=_field(obj, "q", where, _integer, 0),
@@ -232,6 +232,15 @@ def _spec_from_obj(obj, where: str) -> ProcessSpec:
         delta=_field(obj, "delta", where, _number),
         innovation=_innovation_from_obj(obj.get("innovation"), where + ".innovation"),
     )
+    lam = _lambda(spec)
+    if obj.get("lambda") is not None and obj["lambda"] != lam:
+        raise ParameterError(f'{where}.lambda must be "{lam}" for model {model}, got {obj["lambda"]!r}')
+    return spec
+
+
+def _lambda(spec: AugGarchSpec) -> str:
+    """The state transform a named model fixes: ``log`` sigma^2 or a ``power`` of it."""
+    return "log" if spec.is_exponential else "power"
 
 
 def spec_to_json(spec: ProcessSpec) -> str:

@@ -263,6 +263,27 @@ def test_spec_non_numeric_alpha_exits_2(garch_spec_file, tmp_path, capsys):
     _assert_one_line_error(capsys, "spec.alpha")
 
 
+@pytest.mark.parametrize("lam", ["x", 3, [], "log"])
+def test_spec_wrong_lambda_exits_2(garch_spec_file, tmp_path, capsys, lam):
+    # "log" is a valid transform, but not the one a garch model fixes
+    spec = _spec_file(tmp_path, garch_spec_file, lambda s: s | {"lambda": lam})
+    assert main(["check", "--spec", spec, "--r", "1"]) == 2
+    _assert_one_line_error(capsys, "spec.lambda")
+
+
+def test_nested_spec_wrong_lambda_exits_2(garch_spec_file, tmp_path, capsys):
+    edit = lambda s: {"model": "arma", "phi": [-0.3], "theta": [], "innovation": s | {"lambda": "log"}}  # noqa: E731
+    spec = _spec_file(tmp_path, garch_spec_file, edit)
+    assert main(["check", "--spec", spec, "--r", "1"]) == 2
+    _assert_one_line_error(capsys, "spec.innovation.lambda")
+
+
+@pytest.mark.parametrize("edit", [lambda s: s | {"lambda": None}, lambda s: {k: v for k, v in s.items() if k != "lambda"}])
+def test_spec_absent_or_null_lambda_is_fine(garch_spec_file, tmp_path, capsys, edit):
+    spec = _spec_file(tmp_path, garch_spec_file, edit)
+    assert main(["check", "--spec", spec, "--r", "1"]) == 0
+
+
 def test_spec_json_array_exits_2(garch_spec_file, tmp_path, capsys):
     spec = _spec_file(tmp_path, garch_spec_file, lambda s: [s])
     assert main(["ned-scan", "--spec", spec, "--kmax", "2"]) == 2

@@ -17,7 +17,9 @@ from fclt_lab.processes import (
     simulate_batch,
     spec_fingerprint,
     spec_from_json,
+    spec_from_obj,
     spec_to_json,
+    spec_to_obj,
     values_from_innovations,
 )
 from fclt_lab.estimators import centred_abs_moment, sample_quantile
@@ -78,6 +80,37 @@ def test_spec_json_roundtrip_iid_student():
     spec = IidSpec(InnovationDist("student_t", dof=6.0))
     again = spec_from_json(spec_to_json(spec))
     assert again == spec
+
+
+# one valid spec per named model (apgarch and pgarch need a delta)
+NAMED_MODELS = {
+    "garch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,)),
+    "arch": dict(q=0, omega=0.1, alpha=(0.3,)),
+    "gjr": dict(omega=0.1, alpha=(0.05,), beta=(0.8,), gamma=(0.1,)),
+    "agarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), gamma=(0.2,)),
+    "apgarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), gamma=(0.2,), delta=1.5),
+    "pgarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), delta=1.0),
+    "tgarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), gamma=(0.2,)),
+    "tsgarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,)),
+    "vgarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), gamma=(0.2,)),
+    "ngarch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,), gamma=(0.2,)),
+    "egarch": dict(omega=-0.1, alpha=(0.1,), beta=(0.8,), gamma=(-0.1,)),
+    "mgarch": dict(omega=-0.1, alpha=(0.05,), beta=(0.8,)),
+}
+
+
+def test_named_models_cover_every_model():
+    from fclt_lab.garch import EXPONENTIAL_MODELS, POLYNOMIAL_MODELS
+
+    assert set(NAMED_MODELS) == POLYNOMIAL_MODELS | EXPONENTIAL_MODELS
+
+
+@pytest.mark.parametrize("model", sorted(NAMED_MODELS))
+def test_spec_obj_roundtrip_every_named_model(model):
+    spec = AugGarchSpec(model=model, **NAMED_MODELS[model])
+    obj = spec_to_obj(spec)
+    assert obj["lambda"] == ("log" if model in ("egarch", "mgarch") else "power")
+    assert spec_from_obj(obj) == spec
 
 
 def test_spec_json_keys_follow_schema():

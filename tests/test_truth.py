@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fclt_lab import truth as truth_module
 from fclt_lab.arma import ArmaSpec
 from fclt_lab.errors import ParameterError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.processes import IidSpec
-from fclt_lab.truth import closed_form_truth, pilot_truth, truth_from_sample
+from fclt_lab.processes import IidSpec, simulate
+from fclt_lab.truth import TRUTH_ENTRIES, closed_form_truth, pilot_truth, truth_from_sample
 
 NORMAL = InnovationDist()
 
@@ -42,6 +44,43 @@ def test_truth_from_degenerate_sample_has_no_density():
     t = truth_from_sample(np.full(100, 2.0), 0.5, 2)
     assert t.f_at_q is None
     assert t.q_true == 2.0 and t.m_true == 0.0
+
+
+def test_truth_from_sample_lets_unexpected_kde_errors_through(monkeypatch):
+    # only a degenerate sample (SingularityError) means "no density"; anything else is a fault
+    def broken(values, x):
+        raise RuntimeError("kde fault")
+
+    monkeypatch.setattr(truth_module, "gaussian_kde_at", broken)
+    with pytest.raises(RuntimeError, match="kde fault"):
+        truth_from_sample(np.arange(100.0), 0.5, 2)
+
+
+GARCH11 = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+
+
+def test_pilot_truth_simulates_one_block(monkeypatch):
+    calls = []
+    original = truth_module.simulate_batch
+
+    def counting(spec, n, burn_in, seed, reps):
+        calls.append(reps)
+        return original(spec, n, burn_in, seed, reps)
+
+    monkeypatch.setattr(truth_module, "simulate_batch", counting)
+    pilot_truth(GARCH11, 0.9, 2, seed=4, n=6_400)
+    assert calls == [range(64)]
+
+
+@pytest.mark.parametrize("spec", [GARCH11, ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=GARCH11)])
+def test_pilot_truth_pools_64_paths_bit_for_bit(spec):
+    # path i is the single path of stream (seed, i); n is not a multiple of 64
+    n, seed = 50_001, 9
+    paths = [simulate(spec, math.ceil(n / 64), seed=(seed, i)).values for i in range(64)]
+    ref = truth_from_sample(np.concatenate(paths)[:n], 0.9, 2)
+    ref = replace(ref, **truth_module._partial_closed_entries(spec, 2))
+    got = pilot_truth(spec, 0.9, 2, seed=seed, n=n)
+    assert [getattr(got, k) for k in TRUTH_ENTRIES] == [getattr(ref, k) for k in TRUTH_ENTRIES]
 
 
 def test_pilot_truth_garch_overrides_closed_entries():
