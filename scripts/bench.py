@@ -10,8 +10,9 @@ directory each (``git archive`` for a revision). Both sides run this
 checkout's ``perfbench/`` and ``BENCHMARK.json``, so only ``src/`` differs.
 For every workload and seed, K pairs of ``perfbench/run.py`` runs alternate
 which side goes first. The file holds the machine, the versions, the
-settings, every run's metrics, and per metric and side the median and
-quartiles, plus the pairs the head wins and loses (ties count for neither).
+settings, every run's metrics and determinism digests, and per metric and
+side the median and quartiles, plus the pairs the head wins and loses (ties
+count for neither).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tempfile
 
 ROOT = os.getcwd()
 WORKING_TREE = "working tree"
+MIN_PAIRS = 10  # fewer pairs support no claim of a gain
 
 
 # --- summary (pure: the unit tests feed it canned result lines) -------------------
@@ -95,8 +97,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 def _judge(m: dict, metric: dict):
     """The claim rule and the regression bound, applied to one metric's pairs.
 
-    A gain holds when the head wins at least nine tenths of the pairs and its
-    median beats the base median by more than the base's quartile distance.
+    A gain holds when there are at least ``MIN_PAIRS`` pairs, the head wins at
+    least nine tenths of them and its median beats the base median by more
+    than the base's quartile distance.
     The bound is relative to the base median: the head may be that much worse.
     """
     b_lo, b_med, b_hi = m["base_quartiles"]
@@ -104,7 +107,8 @@ def _judge(m: dict, metric: dict):
     sign = 1.0 if metric["better"] == "lower" else -1.0
     gain = sign * (b_med - h_med)
     m["relative_change"] = (h_med - b_med) / b_med if b_med else None
-    m["gain_holds"] = m["wins"] >= 0.9 * len(m["base"]) and gain > b_hi - b_lo
+    pairs = len(m["base"])
+    m["gain_holds"] = pairs >= MIN_PAIRS and m["wins"] >= 0.9 * pairs and gain > b_hi - b_lo
     if "bound" in metric:
         m["within_bound"] = -gain <= metric["bound"] * abs(b_med)
 
@@ -155,7 +159,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed (default 10)")
     ap.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--toy", action="store_true", help="tiny workload sizes, to try the driver")
+    ap.add_argument("--toy", action="store_true", help="tiny workload sizes, to try this script")
     ap.add_argument("--out", default=None, help="default: BENCH_<label>.json in the checkout root")
     args = ap.parse_args(argv)
 
@@ -177,11 +181,14 @@ def main(argv=None) -> int:
                     for side in order:
                         info, result, error = run_side(trees[side], workload, seed, args)
                         first_info = first_info or info
-                        run = {"workload": workload, "seed": seed, "pair": pair, "side": side, "first": side == order[0]}
-                        run |= {"result": result, "error": error or None}
-                        run["wall_s_quartiles"] = info["wall_s_quartiles"] if info else None
-                        runs.append(run)
-                        shown = result["metrics"]["wall_s"]["value"] if result and "wall_s" in result["metrics"] else error
+                        runs.append({
+                            "workload": workload, "seed": seed, "pair": pair, "side": side,
+                            "first": side == order[0], "result": result, "error": error or None,
+                            "wall_s_quartiles": info and info["wall_s_quartiles"], "digests": info and info["digests"],
+                        })
+                        shown = f"correct={result['correct']}" if result else error
+                        if result and "wall_s" in result["metrics"]:
+                            shown += f" wall_s={result['metrics']['wall_s']['value']:.4g}"
                         sys.stderr.write(f"bench: {workload} seed {seed} pair {pair} {side}: {shown}\n")
 
     report = {

@@ -63,13 +63,16 @@ def test_summary_counts_wins_and_leaves_ties_out(bench):
     assert wall["within_bound"] is True
 
 
-def test_summary_gain_needs_nine_tenths_and_a_gap_beyond_the_base_spread(bench):
+def test_summary_gain_needs_ten_pairs_nine_tenths_and_a_gap_beyond_the_base_spread(bench):
     base = [1.0 + 0.01 * i for i in range(10)]
     wall = bench.summarize(_runs(bench, base, [0.6] * 10), METRICS)["w"]["metrics"]["wall_s"]
     assert wall["wins"] == 10 and wall["gain_holds"] is True
     # every pair won, but by less than the base's quartile distance
     wall = bench.summarize(_runs(bench, base, [b - 0.001 for b in base]), METRICS)["w"]["metrics"]["wall_s"]
     assert wall["wins"] == 10 and wall["gain_holds"] is False
+    # every pair won by far, but nine pairs are too few
+    wall = bench.summarize(_runs(bench, base[:9], [0.6] * 9), METRICS)["w"]["metrics"]["wall_s"]
+    assert wall["wins"] == 9 and wall["gain_holds"] is False
 
 
 def test_summary_bound_follows_the_metric_direction(bench):
