@@ -22,10 +22,12 @@ import json
 import os
 import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from run import _quartiles  # noqa: E402  (perfbench/run.py: the quartiles its results report)
 
 ROOT = os.getcwd()
 WORKING_TREE = "working tree"
@@ -41,14 +43,6 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     return info["perfbench"], result
 
 
-def quartiles(values: list[float]) -> list[float]:
-    """[lower quartile, median, upper quartile]; one value gives itself thrice."""
-    if len(values) < 2:
-        return list(values) * 3
-    q = statistics.quantiles(values, n=4)
-    return [q[0], statistics.median(values), q[2]]
-
-
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and metric: both sides' values, quartiles and the pair wins.
 
@@ -56,21 +50,27 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     with ``side`` ``"base"`` or ``"head"`` and ``result`` the last line of
     ``perfbench/run.py`` (None for a run that failed). ``metrics`` are the
     ``BENCHMARK.json`` entries (``name``, ``better``, optional ``bound``).
-    A pair counts only if both of its runs gave a result.
+    Only a pair in which both runs gave a result has metric values. A pair
+    is a win for the head only if the head's run is correct and better.
     """
     pairs: dict[tuple, dict] = {}
     for run in runs:
         pairs.setdefault((run["workload"], run["seed"], run["pair"]), {})[run["side"]] = run["result"]
     out: dict[str, dict] = {}
     for (workload, _, _), sides in pairs.items():
-        entry = out.setdefault(workload, {"pairs": 0, "failed_pairs": 0, "correct": {"base": 0, "head": 0}, "metrics": {}})
+        entry = out.setdefault(workload, {
+            "pairs": 0, "failed_pairs": 0, "correct": {"base": 0, "head": 0},
+            "attempted": {"base": 0, "head": 0}, "failed": {"base": 0, "head": 0}, "metrics": {},
+        })
+        entry["pairs"] += 1
         base, head = sides.get("base"), sides.get("head")
         if base is None or head is None:
             entry["failed_pairs"] += 1
             continue
-        entry["pairs"] += 1
         for side, result in (("base", base), ("head", head)):
             entry["correct"][side] += bool(result["correct"])
+            entry["attempted"][side] += result["attempted"]
+            entry["failed"][side] += result["failed"]
         for metric in metrics:
             name = metric["name"]
             if name not in base["metrics"] or name not in head["metrics"]:
@@ -81,7 +81,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             m["head"].append(h)
             better = h < b if metric["better"] == "lower" else h > b
             worse = h > b if metric["better"] == "lower" else h < b
-            m["wins"] += better
+            m["wins"] += better and bool(head["correct"])
             m["losses"] += worse
     for entry in out.values():
         for metric in metrics:
@@ -89,28 +89,40 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             if m is None:
                 continue
             for side in ("base", "head"):
-                m[f"{side}_quartiles"] = quartiles(m[side])
-            _judge(m, metric)
+                m[f"{side}_quartiles"] = _quartiles(m[side])
+            _judge(m, metric, entry)
     return out
 
 
-def _judge(m: dict, metric: dict):
+def _judge(m: dict, metric: dict, entry: dict):
     """The claim rule and the regression bound, applied to one metric's pairs.
 
-    A gain holds when there are at least ``MIN_PAIRS`` pairs, the head wins at
-    least nine tenths of them and its median beats the base median by more
-    than the base's quartile distance.
-    The bound is relative to the base median: the head may be that much worse.
+    A gain holds when at least ``MIN_PAIRS`` pairs ran, none of them failed,
+    the head is correct in as many runs as the base and fails no larger
+    share of operations, the head wins at least nine tenths of all pairs run
+    and its median beats the base median by more than the base's quartile
+    distance.
+    The bound is relative to the base median: the head may be that much
+    worse. Where the base's quartile distance alone exceeds the bound and
+    the two sides' runs overlap, the bound is ``"unresolved"``.
     """
     b_lo, b_med, b_hi = m["base_quartiles"]
     h_med = m["head_quartiles"][1]
     sign = 1.0 if metric["better"] == "lower" else -1.0
     gain = sign * (b_med - h_med)
     m["relative_change"] = (h_med - b_med) / b_med if b_med else None
-    pairs = len(m["base"])
-    m["gain_holds"] = pairs >= MIN_PAIRS and m["wins"] >= 0.9 * pairs and gain > b_hi - b_lo
+    attempted, failed = entry["attempted"], entry["failed"]
+    sound = (
+        entry["failed_pairs"] == 0
+        and entry["correct"]["head"] >= entry["correct"]["base"]
+        and failed["head"] * attempted["base"] <= failed["base"] * attempted["head"]
+    )
+    pairs = entry["pairs"]
+    m["gain_holds"] = sound and pairs >= MIN_PAIRS and m["wins"] >= 0.9 * pairs and gain > b_hi - b_lo
     if "bound" in metric:
-        m["within_bound"] = -gain <= metric["bound"] * abs(b_med)
+        allowed = metric["bound"] * abs(b_med)
+        overlap = min(m["head"]) <= max(m["base"]) and min(m["base"]) <= max(m["head"])
+        m["within_bound"] = "unresolved" if b_hi - b_lo > allowed and overlap else -gain <= allowed
 
 
 # --- running the two sides ---------------------------------------------------------
@@ -135,7 +147,6 @@ def export_side(rev: str, into: str) -> str:
 def run_side(tree: str, workload: str, seed: int, args) -> tuple[dict | None, dict | None, str]:
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload]
     argv += ["--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    argv += ["--toy"] if args.toy else []
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         return None, None, done.stderr.strip().splitlines()[-1] if done.stderr.strip() else f"exit {done.returncode}"
@@ -159,8 +170,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed (default 10)")
     ap.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--toy", action="store_true", help="tiny workload sizes, to try this script")
-    ap.add_argument("--out", default=None, help="default: BENCH_<label>.json in the checkout root")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -201,12 +210,11 @@ def main(argv=None) -> int:
             "pairs": args.pairs,
             "seconds": args.seconds,
             "trace": args.trace,
-            "toy": args.toy,
         },
         "runs": runs,
         "summary": summarize(runs, metrics),
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -150,10 +150,12 @@ def pilot_truth(
     The ``PILOT_PATHS`` = 64 paths of ceil(n / 64) values each, path i from the
     stream ``(seed, i)``, are simulated as one block, so the volatility
     recursion runs once over the whole block; the first n values of the
-    row-major block are pooled. Memory peaks at about 4 x 8n bytes, in the
-    pooled statistics, not in the simulation. Entries with exact closed forms
-    (mean / a_r under symmetry, the GARCH variance) override the sample
-    estimates, with provenance recorded.
+    row-major block are pooled. Memory peaks at about 4 x 8n bytes: for a
+    GARCH process in the pooled statistics (the KDE and a_r temporaries), for
+    ARMA-GARCH as much in the simulation, which holds the block, the
+    innovations, the GARCH output and the ARMA filter output at once.
+    Entries with exact closed forms (mean / a_r under symmetry, the GARCH
+    variance) override the sample estimates, with provenance recorded.
     """
     if n < 1:
         raise ParameterError(f"pilot n must be >= 1, got {n}")

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -17,9 +18,7 @@ from fclt_lab.processes import (
     simulate_batch,
     spec_fingerprint,
     spec_from_json,
-    spec_from_obj,
     spec_to_json,
-    spec_to_obj,
     values_from_innovations,
 )
 from fclt_lab.estimators import centred_abs_moment, sample_quantile
@@ -62,26 +61,6 @@ def test_path_values_read_only():
         path.values[0] = 0.0
 
 
-def test_spec_json_roundtrip_garch():
-    spec = AugGarchSpec(model="gjr", p=1, q=1, omega=0.2, alpha=(0.05,), beta=(0.7,), gamma=(0.1,))
-    again = spec_from_json(spec_to_json(spec))
-    assert again == spec
-    assert spec_fingerprint(again) == spec_fingerprint(spec)
-
-
-def test_spec_json_roundtrip_arma_garch():
-    inner = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
-    spec = ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=inner)
-    again = spec_from_json(spec_to_json(spec))
-    assert again == spec
-
-
-def test_spec_json_roundtrip_iid_student():
-    spec = IidSpec(InnovationDist("student_t", dof=6.0))
-    again = spec_from_json(spec_to_json(spec))
-    assert again == spec
-
-
 # one valid spec per named model (apgarch and pgarch need a delta)
 NAMED_MODELS = {
     "garch": dict(omega=0.1, alpha=(0.1,), beta=(0.8,)),
@@ -99,23 +78,36 @@ NAMED_MODELS = {
 }
 
 
+def test_spec_json_roundtrip_garch():
+    for model, params in NAMED_MODELS.items():
+        spec = AugGarchSpec(model=model, **params)
+        text = spec_to_json(spec)
+        assert json.loads(text)["lambda"] == ("log" if model in ("egarch", "mgarch") else "power")
+        again = spec_from_json(text)
+        assert again == spec
+        assert spec_fingerprint(again) == spec_fingerprint(spec)
+
+
+def test_spec_json_roundtrip_arma_garch():
+    inner = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    spec = ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=inner)
+    again = spec_from_json(spec_to_json(spec))
+    assert again == spec
+
+
+def test_spec_json_roundtrip_iid_student():
+    spec = IidSpec(InnovationDist("student_t", dof=6.0))
+    again = spec_from_json(spec_to_json(spec))
+    assert again == spec
+
+
 def test_named_models_cover_every_model():
     from fclt_lab.garch import EXPONENTIAL_MODELS, POLYNOMIAL_MODELS
 
     assert set(NAMED_MODELS) == POLYNOMIAL_MODELS | EXPONENTIAL_MODELS
 
 
-@pytest.mark.parametrize("model", sorted(NAMED_MODELS))
-def test_spec_obj_roundtrip_every_named_model(model):
-    spec = AugGarchSpec(model=model, **NAMED_MODELS[model])
-    obj = spec_to_obj(spec)
-    assert obj["lambda"] == ("log" if model in ("egarch", "mgarch") else "power")
-    assert spec_from_obj(obj) == spec
-
-
 def test_spec_json_keys_follow_schema():
-    import json
-
     spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
     obj = json.loads(spec_to_json(spec))
     assert set(obj) == {"model", "lambda", "delta", "p", "q", "omega", "alpha", "beta", "gamma", "innovation"}
