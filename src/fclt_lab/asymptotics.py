@@ -444,18 +444,19 @@ def trivariate_long_run_cov_hac(path_or_values, p: float, r: int, bandwidth: int
 # --- remainder terms ---------------------------------------------------------------
 
 
-def bahadur_remainder(path_or_values, p: float, q_true: float, f_at_q: float):
+def bahadur_remainder(path_or_values, p: float, q_true: float, f_at_q: float, overwrite_input: bool = False):
     """Residual of the quantile linearization q_n(p) ~ q + (p - F_n(q)) / f(q).
 
     R_n = q_n(p) - q - (p - F_n(q)) / f(q), which is o_P(1/sqrt(n)) under the
     theory; the subtraction orientation is the one the limit argument uses
     (the indicator average plus the remainder reconstructs q_n(p) - q).
     Reduces over the last axis: a float per 1-d sample, one value per row
-    of a block.
+    of a block. ``overwrite_input`` lets the quantile partition the block in
+    place (``sample_quantile``); F_n does not depend on the order.
     """
     if not f_at_q > 0:
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
-    q_hat = sample_quantile(path_or_values, p)
+    q_hat = sample_quantile(path_or_values, p, overwrite_input=overwrite_input)
     return q_hat - q_true - (p - empirical_cdf(path_or_values, q_true)) / f_at_q
 
 

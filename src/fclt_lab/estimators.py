@@ -74,13 +74,19 @@ def _check_r(r: int):
         raise ParameterError(f"moment order r must be a positive integer, got {r}")
 
 
-def sample_quantile(path_or_values, p: float):
-    """The ceil(n p)-th order statistic, via expected-linear-time selection."""
+def sample_quantile(path_or_values, p: float, overwrite_input: bool = False):
+    """The ceil(n p)-th order statistic, via expected-linear-time selection.
+
+    As in ``np.quantile``, ``overwrite_input`` partitions the caller's array
+    in place instead of a copy; each row keeps its set of values.
+    """
     x = _values(path_or_values)
     _check_p(p)
     n = x.shape[-1]
     k = min(max(math.ceil(n * p), 1), n)
-    return _rows(np.partition(x, k - 1, axis=-1)[..., k - 1])
+    part = x if overwrite_input else x.copy(order="K")
+    part.partition(k - 1, axis=-1)
+    return _rows(part[..., k - 1])
 
 
 def sample_mean(path_or_values):

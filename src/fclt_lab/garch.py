@@ -19,7 +19,8 @@ The recursion runs over time tiles of about 1 MiB of state (the width is set by
 the batch width alone). Each evaluates the transforms on a time-major copy of its
 innovations and pre-window, updates the state rows in place in the order
 ((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ... and carries its last pre-window
-states on: the bits do not depend on the tiling; memory is output + O(batch x tile).
+states on: the bits do not depend on the tiling; memory is output + O(batch x tile),
+and the output may overwrite the innovations.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ def default_burn_in(spec) -> int:
     return max(1000, 20 * (p + q))
 
 
-def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=True, state=None, final_state=False):
+def garch_values_from_innovations(
+    spec: AugGarchSpec, eps: np.ndarray, strict=True, state=None, final_state=False, overwrite_input=False
+):
     """Run the volatility recursion over given innovations, vectorized over
     leading axes.
 
@@ -258,10 +261,13 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=Tr
     ``state`` (..., m)) and the returned values X_t = sigma_t eps_t have shape
     (..., T - m), row-major. ``final_state`` also returns the states at the
     last m times, from which a split path resumes bit for bit. Memory is the
-    output plus one time tile of state (module docstring). A non-finite or
-    non-positive state raises DivergenceError naming the first offending step;
-    with ``strict=False`` the affected batch rows come back as NaN so a caller
-    can quarantine them individually.
+    output plus one time tile of state (module docstring). With
+    ``overwrite_input`` the output is the view ``eps[..., :T - m]``: each tile
+    writes only innovations it has already copied, so a caller that owns
+    ``eps`` holds one block. A non-finite or non-positive state raises
+    DivergenceError naming the first offending step; with ``strict=False`` the
+    affected batch rows come back as NaN so a caller can quarantine them
+    individually.
     """
     eps = np.asarray(eps, dtype=np.float64)
     g_list = spec.g_transforms()
@@ -273,7 +279,7 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=Tr
 
     rows = eps.reshape(-1, T)
     B = rows.shape[0]
-    values = np.empty((B, T - m))
+    values = rows[:, : T - m] if overwrite_input else np.empty((B, T - m))
     width = min(T - m, max(16, 2**20 // (8 * max(B, 1))))
     lam = np.empty((m + width, B))  # m carried states, then a tile
     lam[:m] = spec.state_fixed_point() if state is None else np.reshape(state, (B, m)).T
@@ -281,7 +287,7 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=Tr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(m, T, width):
             w = min(width, T - start)
-            e = np.ascontiguousarray(rows[:, start - m : start + w].T)  # times start-m .. start+w-1
+            e = rows[:, start - m : start + w].T.copy()  # times start-m .. start+w-1; a copy even at B = 1
             body = lam[m : m + w]
             body[...] = sum(g(e[m - i : m - i + w]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
             C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
@@ -290,12 +296,15 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=Tr
                 for j, Cj in C:  # out= positional: the keyword form costs more per step
                     np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
             out = values[:, start - m : start - m + w].T  # time-major view of the row-major output
+            # X_t = sigma_t eps_t from the tile's copy of the innovations
             if spec.is_exponential:
                 bad = ~np.isfinite(body)
                 np.exp(0.5 * body, out=out)
+                out *= e[m:]
             else:
                 bad = ~np.isfinite(body) | (body <= 0.0)
-                out[...] = body ** (0.5 / spec.lam_exponent)  # ndarray ** is sqrt at 0.5, a copy at 1
+                e[m:] *= body ** (0.5 / spec.lam_exponent)  # ndarray ** is sqrt at 0.5, a copy at 1
+                out[...] = e[m:]  # one strided write; a ufunc writing there directly is slower
             if bad.any():
                 if strict:
                     t_first = start + int(np.argmax(bad.any(axis=1)))
@@ -303,6 +312,5 @@ def garch_values_from_innovations(spec: AugGarchSpec, eps: np.ndarray, strict=Tr
                 diverged |= bad.any(axis=0)
             lam[:m] = lam[w : w + m]
         values[diverged] = np.nan
-        values *= rows[:, m:]
     values = values.reshape(eps.shape[:-1] + (T - m,))
     return (values, lam[:m].T.reshape(eps.shape[:-1] + (m,))) if final_state else values

@@ -237,7 +237,11 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
 
 
 def _simulate_stats(cfg: ExperimentConfig, n: int, stat, threads: int) -> np.ndarray:
-    """Apply stat to each (B, n) chunk of the M replications; rows stack to (M, ...)."""
+    """Apply stat to each (B, n) chunk of the M replications; rows stack to (M, ...).
+
+    Each chunk simulates one block, and stat owns it: it may overwrite the
+    block, which nothing reads after it.
+    """
     parts = [None] * ((cfg.reps + cfg.chunk_size - 1) // cfg.chunk_size)
 
     def task(start, stop):
@@ -377,12 +381,33 @@ def _decay_verdict(series_list: list[tuple[float, ...]], n_count: int) -> str:
 
 
 def _run_ladder(cfg: ExperimentConfig, statistic: str, stat, decay_on: str, threads: int) -> DecayTable:
+    """The decay table of stat along the n ladder, from one block per chunk.
+
+    Replication rep is the stream (seed, rep) on every rung, so a rung's paths
+    are the prefixes of the longest rung's: each chunk simulates one block at
+    the longest n and stat reads every rung as the prefix ``values[:, :n]``,
+    in ascending n whatever the ladder's order. stat owns the block and may
+    permute a prefix in place (the Bahadur quantile partitions it): every
+    longer prefix keeps its set of values, so a permutation-invariant
+    statistic is unchanged on it. A replication whose path diverges is a NaN
+    row and is quarantined on every rung.
+    """
     if not cfg.n_ladder:
         raise ParameterError("ladder experiment needs n_ladder")
     ladder = tuple(int(n) for n in cfg.n_ladder)
+    if min(ladder) < 1:
+        raise ParameterError("n must be >= 1")
+    ascending = sorted(range(len(ladder)), key=ladder.__getitem__)
+
+    def stat_all(values):
+        cols = [None] * len(ladder)
+        for i in ascending:
+            cols[i] = stat(values[:, : ladder[i]])
+        return np.stack(cols, axis=-1)
+
+    table = _simulate_stats(cfg, max(ladder), stat_all, threads)
     med, p90, std, se, used_n, quar_n = [], [], [], [], [], []
-    for n in ladder:
-        vals = _simulate_stats(cfg, n, stat, threads)
+    for vals in table.T:
         finite = np.isfinite(vals)
         used = int(finite.sum())
         vals = vals[finite]
@@ -417,8 +442,9 @@ def run_bahadur_experiment(cfg: ExperimentConfig, threads: int = 1) -> DecayTabl
     _refuse_if_inadmissible(cfg, require=("q_true",))
     truth = cfg.truth
 
-    def stat(values):
-        return math.sqrt(values.shape[-1]) * bahadur_remainder(values, cfg.p, truth.q_true, truth.f_at_q)
+    def stat(values):  # partitions the harness's block in place; see _run_ladder
+        remainder = bahadur_remainder(values, cfg.p, truth.q_true, truth.f_at_q, overwrite_input=True)
+        return math.sqrt(values.shape[-1]) * remainder
 
     return _run_ladder(cfg, "sqrt(n) * bahadur remainder", stat, "median+p90", threads)
 
@@ -432,7 +458,7 @@ def run_representation_experiment(cfg: ExperimentConfig, threads: int = 1) -> De
     _refuse_if_inadmissible(cfg, require=("mu", "a_r"), need_density=False)
     truth = cfg.truth
 
-    def stat(values):
+    def stat(values):  # order-dependent sums: reads the prefix untouched
         return representation_gap(values, cfg.r, truth.mu, truth.a_r)
 
     return _run_ladder(cfg, "moment representation gap", stat, "std", threads)

@@ -273,7 +273,9 @@ def innovation_driver(spec: ProcessSpec) -> InnovationDist:
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 
 
-def values_from_innovations(spec: ProcessSpec, eps: np.ndarray, strict: bool = True, state=None, final_state=False):
+def values_from_innovations(
+    spec: ProcessSpec, eps: np.ndarray, strict: bool = True, state=None, final_state=False, overwrite_input=False
+):
     """Evaluate the causal functional over given driver innovations.
 
     ``eps`` has shape (..., T); the output drops the GARCH pre-window where
@@ -283,18 +285,20 @@ def values_from_innovations(spec: ProcessSpec, eps: np.ndarray, strict: bool = T
     raising, so batch callers can quarantine them. ``state`` (..., S) replaces
     the starting state: the m GARCH states at the pre-window times, then the
     ARMA filter state; ``final_state`` also returns the state after the last
-    step in that layout, from which a split path resumes bit for bit.
+    step in that layout, from which a split path resumes bit for bit. With
+    ``overwrite_input`` the GARCH output is written over ``eps``, which the
+    caller must own (the NED draws are shared across k, so they never are).
     """
     if isinstance(spec, IidSpec):
         values = np.asarray(eps, dtype=np.float64)
         return (values, values[..., :0]) if final_state else values
     if isinstance(spec, AugGarchSpec):
-        return garch_values_from_innovations(spec, eps, strict, state, final_state)
+        return garch_values_from_innovations(spec, eps, strict, state, final_state, overwrite_input)
     if isinstance(spec, ArmaSpec):
         inner = spec.innovation if isinstance(spec.innovation, AugGarchSpec) else IidSpec(spec.innovation)
         zero = np.zeros(np.shape(eps)[:-1] + (max(spec.p, spec.q, 1),))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
-        u, lead = values_from_innovations(inner, eps, strict, lead, True)
+        u, lead = values_from_innovations(inner, eps, strict, lead, True, overwrite_input)
         values, rest = arma_values_from_innovations(spec, u, rest)
         return (values, np.concatenate([lead, rest], axis=-1)) if final_state else values
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
@@ -330,7 +334,7 @@ def _simulate_rows(spec: ProcessSpec, n: int, burn_in: int | None, keys: list, s
     eps = np.empty((len(keys), total))
     for row, key in enumerate(keys):
         eps[row] = dist.sample(stream_generator(key), total)
-    return values_from_innovations(spec, eps, strict=strict)[:, burn:], burn
+    return values_from_innovations(spec, eps, strict=strict, overwrite_input=True)[:, burn:], burn
 
 
 def simulate(spec: ProcessSpec, n: int, burn_in: int | None = None, seed=0) -> Path:

@@ -122,19 +122,32 @@ def _partial_closed_entries(spec: ProcessSpec, r: int) -> dict[str, float]:
     return out
 
 
-def truth_from_sample(values: np.ndarray, p: float, r: int, provenance_tag: str = "sample") -> Truth:
-    """Estimate every truth entry from one large stationary sample."""
+def truth_from_sample(
+    values: np.ndarray, p: float, r: int, provenance_tag: str = "sample", closed: dict | None = None
+) -> Truth:
+    """Estimate every truth entry from one large stationary sample.
+
+    Entries given in ``closed`` are exact: they are taken as given, tagged
+    ``closed-form`` and not estimated. The moment and a_r estimates centre at
+    the sample mean even where ``mu`` is closed.
+    """
+    closed = closed or {}
     x = np.asarray(values, dtype=np.float64).ravel()
     q = sample_quantile(x, p)
     try:
         f = gaussian_kde_at(x, q)
     except SingularityError:  # a degenerate sample has no density estimate
         f = None
-    mu = sample_mean(x)
-    m_true = known_mean_abs_moment(x, r, mu)  # the centred moment, mean not recomputed
-    a_r = a_r_from_sample(x, r, mu)
-    tags = dict.fromkeys(TRUTH_ENTRIES, provenance_tag)
-    return Truth(q, f, mu, m_true, a_r, p, r, provenance=tags)
+    est = {"q_true": q, "f_at_q": f}
+    if not {"mu", "m_true", "a_r"} <= closed.keys():
+        est["mu"] = mu = sample_mean(x)
+        if "m_true" not in closed:
+            est["m_true"] = known_mean_abs_moment(x, r, mu)  # the centred moment, mean not recomputed
+        if "a_r" not in closed:
+            est["a_r"] = a_r_from_sample(x, r, mu)
+    entries = est | closed
+    tags = {k: "closed-form" if k in closed else provenance_tag for k in TRUTH_ENTRIES}
+    return Truth(*(entries[k] for k in TRUTH_ENTRIES), p, r, provenance=tags)
 
 
 def pilot_truth(
@@ -150,12 +163,12 @@ def pilot_truth(
     The ``PILOT_PATHS`` = 64 paths of ceil(n / 64) values each, path i from the
     stream ``(seed, i)``, are simulated as one block, so the volatility
     recursion runs once over the whole block; the first n values of the
-    row-major block are pooled. Memory peaks at about 4 x 8n bytes: for a
-    GARCH process in the pooled statistics (the KDE and a_r temporaries), for
-    ARMA-GARCH as much in the simulation, which holds the block, the
-    innovations, the GARCH output and the ARMA filter output at once.
-    Entries with exact closed forms (mean / a_r under symmetry, the GARCH
-    variance) override the sample estimates, with provenance recorded.
+    row-major block are pooled. Memory peaks at about 4 x 8n bytes in the
+    KDE of the pooled sample; the simulation holds the block and the
+    innovations, which the GARCH output overwrites (for ARMA-GARCH also the
+    ARMA filter output). Entries with exact closed forms (mean / a_r under
+    symmetry, the GARCH variance) are taken instead of estimated, with
+    provenance recorded.
     """
     if n < 1:
         raise ParameterError(f"pilot n must be >= 1, got {n}")
@@ -175,10 +188,8 @@ def pilot_truth(
         ).encode()
     ).hexdigest()[:16]
     tag = f"pilot-mc(n={n}, seed={seed}, fingerprint={fp})"
-    est = truth_from_sample(pooled, p, r, provenance_tag=tag)
-    closed = _partial_closed_entries(spec, r)
-    provenance = est.provenance | dict.fromkeys(closed, "closed-form")
-    return replace(est, **closed, provenance=provenance, pilot_fingerprint=fp)
+    est = truth_from_sample(pooled, p, r, provenance_tag=tag, closed=_partial_closed_entries(spec, r))
+    return replace(est, pilot_fingerprint=fp)
 
 
 def resolve_truth(spec: ProcessSpec, p: float, r: int, seed=0, pilot_n: int = PILOT_N) -> Truth:

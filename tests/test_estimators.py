@@ -189,3 +189,21 @@ def test_estimators_reject_scalars_and_empty_rows():
         sample_quantile(np.float64(1.0), 0.5)
     with pytest.raises(ParameterError):
         centred_abs_moment(np.empty((3, 0)), 2)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x, **kw: sample_quantile(x, 0.9, **kw),
+    lambda x, **kw: bahadur_remainder(x, 0.9, 1.2, 0.3, **kw),
+], ids=["quantile", "bahadur"])
+def test_selection_leaves_its_input_alone_unless_told(fn):
+    block = _garch_block()
+    before = block.copy()
+    default = fn(block)
+    assert np.array_equal(block, before, equal_nan=True)
+    # in place: the same bits, the prefix permuted within itself, the rest untouched
+    prefix = block[:, :200]
+    assert np.array_equal(fn(prefix, overwrite_input=True), fn(before[:, :200]), equal_nan=True)
+    assert not np.array_equal(block, before, equal_nan=True)
+    assert np.array_equal(np.sort(block[:, :200]), np.sort(before[:, :200]), equal_nan=True)
+    assert np.array_equal(block[:, 200:], before[:, 200:], equal_nan=True)
+    assert np.array_equal(fn(block, overwrite_input=True), default, equal_nan=True)

@@ -246,3 +246,58 @@ def test_kernel_peak_memory_is_output_plus_a_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * values.nbytes + 4 * 2**20
+
+
+# --- the output written over its own innovations -----------------------------------
+
+OVERWRITE_SPECS = {
+    "garch": KERNEL_SPECS["garch"],
+    "gjr": AugGarchSpec(model="gjr", omega=0.1, alpha=(0.05,), beta=(0.8,), gamma=(0.1,)),
+    "egarch22": AugGarchSpec(
+        model="egarch", p=2, q=2, omega=0.05, alpha=(0.1, 0.05), beta=(0.5, 0.3), gamma=(-0.2, 0.1)
+    ),
+    "tgarch_t": AugGarchSpec(
+        model="tgarch", omega=0.1, alpha=(0.1,), beta=(0.6,), gamma=(0.3,), innovation=InnovationDist("student_t", 8)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERWRITE_SPECS))
+@pytest.mark.parametrize("batch, steps", [((), 300), ((1,), 2 * TILE_128 + 3), ((128,), 2 * TILE_128 + 3), ((3, 4), 500)])
+@pytest.mark.parametrize("given_state", [False, True], ids=["fixed_point", "state"])
+def test_overwrite_input_matches_the_copying_call(name, batch, steps, given_state):
+    spec = OVERWRITE_SPECS[name]
+    m = spec.pre_window
+    rng = stream_generator((len(name), steps))
+    eps = spec.innovation.sample(rng, batch + (m + steps,))
+    state = spec.state_fixed_point() * rng.uniform(0.5, 1.5, batch + (m,)) if given_state else None
+    want, want_state = garch_values_from_innovations(spec, eps, state=state, final_state=True)
+    work = eps.copy()
+    got, got_state = garch_values_from_innovations(spec, work, state=state, final_state=True, overwrite_input=True)
+    assert _same_bits(got, want) and _same_bits(got_state, want_state)
+    assert np.shares_memory(got, work) and np.array_equal(got, work[..., :steps])
+    # the copying call leaves its innovations alone
+    again = eps.copy()
+    garch_values_from_innovations(spec, again, state=state)
+    assert _same_bits(again, eps)
+
+
+def test_overwrite_input_keeps_nan_rows():
+    spec = KERNEL_SPECS["garch"]
+    eps = _with_blowups(spec, 128, 2 * TILE_128 + 7, [(7, 1500), (100, 40)])
+    want = garch_values_from_innovations(spec, eps, strict=False)
+    assert _same_bits(garch_values_from_innovations(spec, eps.copy(), strict=False, overwrite_input=True), want)
+
+
+def test_overwrite_input_peak_memory_is_a_tile():
+    import tracemalloc
+
+    spec = KERNEL_SPECS["garch"]
+    eps = np.random.default_rng(0).standard_normal((128, 10**5))  # 98 MiB
+    tracemalloc.start()
+    try:
+        garch_values_from_innovations(spec, eps, overwrite_input=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20 + 6 * 2**20, peak / 2**20  # a 1-MiB tile, its copies and temporaries

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fclt_lab.arma import ArmaSpec
-from fclt_lab.asymptotics import iid_gamma
+from fclt_lab import harness
+from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap
 from fclt_lab.errors import ParameterError, RefusalError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.harness import (
@@ -16,7 +17,7 @@ from fclt_lab.harness import (
     run_representation_experiment,
 )
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.processes import IidSpec
+from fclt_lab.processes import IidSpec, simulate_batch
 from fclt_lab.truth import Truth, closed_form_truth, truth_from_sample
 
 NORMAL = InnovationDist()
@@ -159,3 +160,101 @@ def test_config_validation():
     for threshold in (0.0, -1.0):
         with pytest.raises(ParameterError, match="se_threshold"):
             ExperimentConfig(spec=IID, p=0.5, r=2, n=100, reps=10, seed=1, truth=truth, se_threshold=threshold)
+
+
+# --- a ladder is one block per chunk, every rung its prefix ---------------------------
+
+GARCH11 = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+LADDER_SPECS = {
+    "iid": IID,
+    "garch": GARCH11,
+    "arma_garch": ArmaSpec(phi=(0.5,), theta=(0.3,), innovation=GARCH11),
+}
+# hand-pinned truth: the tables only need it fixed, not exact
+LADDER_TRUTH = Truth(q_true=1.3, f_at_q=0.2, mu=0.0, m_true=1.0, a_r=0.0, p=0.9, r=2)
+
+
+def ladder_cfg(spec, **kw):
+    base = dict(spec=spec, p=0.9, r=2, n=1000, reps=40, seed=(8, 2), truth=LADDER_TRUTH, n_ladder=(2000, 500, 1000))
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _counting_simulate_batch(monkeypatch, mutate=None):
+    calls = []
+
+    def counting(spec, n, burn_in, seed, reps):
+        calls.append((n, reps))
+        values = simulate_batch(spec, n, burn_in, seed, reps)
+        if mutate is not None:
+            mutate(n, reps, values)
+        return values
+
+    monkeypatch.setattr(harness, "simulate_batch", counting)
+    return calls
+
+
+def test_ladder_simulates_one_block_per_chunk(monkeypatch):
+    calls = _counting_simulate_batch(monkeypatch)
+    run_bahadur_experiment(iid_cfg(reps=300, chunk_size=128, n_ladder=(400, 800, 200)))
+    assert calls == [(800, range(0, 128)), (800, range(128, 256)), (800, range(256, 300))]
+
+
+def _rung_by_rung(cfg, stat):
+    """The decay table rows with every rung simulated on its own."""
+    rows, used = [], []
+    for n in cfg.n_ladder:
+        vals = stat(simulate_batch(cfg.spec, n, cfg.burn_in, cfg.seed, range(cfg.reps)))
+        vals = vals[np.isfinite(vals)]
+        a = np.abs(vals)
+        sd = float(vals.std(ddof=1))
+        rows.append((n, float(np.median(a)), float(np.percentile(a, 90.0)), sd, sd / math.sqrt(max(vals.size, 1))))
+        used.append(vals.size)
+    return rows, tuple(used)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SPECS))
+def test_ladder_tables_equal_rung_by_rung_bit_for_bit(name):
+    cfg = ladder_cfg(LADDER_SPECS[name])
+    t = cfg.truth
+    for run, stat in (
+        (run_bahadur_experiment, lambda x: math.sqrt(x.shape[-1]) * bahadur_remainder(x, cfg.p, t.q_true, t.f_at_q)),
+        (run_representation_experiment, lambda x: representation_gap(x, cfg.r, t.mu, t.a_r)),
+    ):
+        table = run(cfg)
+        rows, used = _rung_by_rung(cfg, stat)
+        assert table.n_values == (2000, 500, 1000)
+        assert table.rows() == rows and table.used == used and table.quarantined == (0, 0, 0)
+
+
+def test_ladder_quarantines_a_diverging_replication_on_every_rung(monkeypatch):
+    def diverge_late(n, reps, values):
+        if 3 in reps and n > 1000:  # the path of replication 3 diverges after step 1000
+            values[reps.index(3)] = np.nan
+
+    calls = _counting_simulate_batch(monkeypatch, diverge_late)
+    cfg = ladder_cfg(GARCH11)
+    for run in (run_bahadur_experiment, run_representation_experiment):
+        table = run(cfg)
+        assert table.used == (39, 39, 39) and table.quarantined == (1, 1, 1)
+    assert [n for n, _ in calls] == [2000, 2000]
+
+
+def test_ladder_rejects_empty_rungs():
+    for ladder in ((0, 100), (100, -5)):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            run_bahadur_experiment(iid_cfg(reps=10, n_ladder=ladder))
+
+
+def test_bahadur_ladder_peak_memory_is_one_block():
+    import tracemalloc
+
+    cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(1000, 4000, 40_000), burn_in=1000)
+    block = 64 * (GARCH11.pre_window + 1000 + 40_000) * 8
+    tracemalloc.start()
+    try:
+        run_bahadur_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * block + 8 * 2**20, peak / block  # the block plus a tile's temporaries

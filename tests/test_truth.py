@@ -9,7 +9,7 @@ from fclt_lab.arma import ArmaSpec
 from fclt_lab.errors import ParameterError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.processes import IidSpec, simulate
+from fclt_lab.processes import IidSpec, simulate, simulate_batch
 from fclt_lab.truth import TRUTH_ENTRIES, closed_form_truth, pilot_truth, truth_from_sample
 
 NORMAL = InnovationDist()
@@ -110,3 +110,38 @@ def test_pilot_truth_reproducible():
     b = pilot_truth(spec, 0.9, 2, seed=7, n=50_000)
     assert (a.q_true, a.f_at_q, a.m_true) == (b.q_true, b.f_at_q, b.m_true)
     assert a.pilot_fingerprint == b.pilot_fingerprint
+
+
+def _pilot_with_every_entry_estimated(spec, p, r, seed, n, tag):
+    """Every entry estimated from the pooled sample, then the closed forms laid over."""
+    pooled = simulate_batch(spec, math.ceil(n / 64), None, seed, range(64)).ravel()[:n]
+    est = truth_from_sample(pooled, p, r, provenance_tag=tag)
+    closed = truth_module._partial_closed_entries(spec, r)
+    return replace(est, **closed, provenance=est.provenance | dict.fromkeys(closed, "closed-form"))
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (GARCH11, 1),
+        (GARCH11, 2),
+        (replace(GARCH11, innovation=InnovationDist("student_t", 8)), 2),
+        (ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=GARCH11), 2),
+    ],
+    ids=["garch_r1", "garch_r2", "student_t_garch_r2", "arma_garch_r2"],
+)
+def test_pilot_truth_skips_closed_entries_at_unchanged_bits(spec, r):
+    got = pilot_truth(spec, 0.9, r, seed=6, n=20_001)
+    ref = _pilot_with_every_entry_estimated(spec, 0.9, r, 6, 20_001, got.provenance["q_true"])
+    assert [getattr(got, k) for k in TRUTH_ENTRIES] == [getattr(ref, k) for k in TRUTH_ENTRIES]
+    assert got.provenance == ref.provenance and list(got.provenance) == list(TRUTH_ENTRIES)
+
+
+def test_pilot_truth_garch_r2_estimates_no_moment_entry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form entry was estimated")
+
+    for name in ("a_r_from_sample", "known_mean_abs_moment", "sample_mean"):
+        monkeypatch.setattr(truth_module, name, refuse)
+    t = pilot_truth(GARCH11, 0.95, 2, seed=5, n=20_000)
+    assert all(t.provenance[k] == "closed-form" for k in ("mu", "m_true", "a_r"))
