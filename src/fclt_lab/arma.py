@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NonCausalError, NumericsError, ParameterError
 from .garch import AugGarchSpec
@@ -123,7 +122,10 @@ def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndar
     """Causal ARMA filter along the last axis from the filter state ``state``
     (..., max(p, q, 1)), returning (values, final state) as ``lfilter`` does.
     A pure MA also runs the recursive form (denominator 1 + 0z), not scipy's
-    per-row FIR loop."""
+    per-row FIR loop. ``scipy.signal`` is imported here, on the first filter
+    call, so runs without an ARMA filter never load it."""
+    from scipy.signal import lfilter
+
     b = np.r_[1.0, spec.theta]
     a = np.r_[1.0, spec.phi] if spec.p else np.r_[1.0, 0.0]
     return lfilter(b, a, np.asarray(eps, dtype=np.float64), axis=-1, zi=state)

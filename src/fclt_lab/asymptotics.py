@@ -398,8 +398,12 @@ def gaussian_kde_at(values: np.ndarray, x: float, bandwidth: float | None = None
     h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
     if not h > 0:
         raise SingularityError("degenerate density estimate: zero kernel bandwidth")
-    z = (x - v) / h
-    return float(np.exp(-0.5 * z * z).sum() / (v.shape[0] * h * math.sqrt(2.0 * math.pi)))
+    z = np.subtract(x, v)  # the one n-sized temporary; every step below writes into it
+    z /= h
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    return float(z.sum() / (v.shape[0] * h * math.sqrt(2.0 * math.pi)))
 
 
 def trivariate_long_run_cov_hac(path_or_values, p: float, r: int, bandwidth: int | None = None) -> TrivariateLRC:

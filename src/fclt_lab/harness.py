@@ -261,9 +261,9 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> CltReport:
     truth = cfg.truth
     root_n = math.sqrt(cfg.n)
 
-    def stat(values):
+    def stat(values):  # the moment reads the block before the quantile partitions it in place
         m_hat = centred_abs_moment(values, cfg.r)
-        q_hat = sample_quantile(values, cfg.p)
+        q_hat = sample_quantile(values, cfg.p, overwrite_input=True)
         return np.stack([root_n * (q_hat - truth.q_true), root_n * (m_hat - truth.m_true)], axis=-1)
 
     y = _simulate_stats(cfg, cfg.n, stat, threads)

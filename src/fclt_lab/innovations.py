@@ -20,8 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import stats as sps
+from scipy import integrate, special
 
 from .errors import ParameterError, QuadratureError, RefusalError
 
@@ -98,7 +97,7 @@ class InnovationDist:
             return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
         if self.kind == "student_t":
             s = self._t_scale
-            return sps.t.pdf(np.asarray(x) / s, self.dof) / s
+            return _t_pdf(np.asarray(x) / s, self.dof) / s
         if self.kind == "uniform":
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
@@ -106,9 +105,9 @@ class InnovationDist:
 
     def cdf(self, x):
         if self.kind == "standard_normal":
-            return sps.norm.cdf(x)
+            return special.ndtr(x)
         if self.kind == "student_t":
-            return sps.t.cdf(np.asarray(x) / self._t_scale, self.dof)
+            return special.stdtr(self.dof, np.asarray(x) / self._t_scale)
         if self.kind == "uniform":
             return np.clip((np.asarray(x, dtype=float) + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
         x = np.asarray(x, dtype=float)
@@ -116,9 +115,9 @@ class InnovationDist:
 
     def ppf(self, u):
         if self.kind == "standard_normal":
-            return sps.norm.ppf(u)
+            return special.ndtri(u)
         if self.kind == "student_t":
-            return sps.t.ppf(u, self.dof) * self._t_scale
+            return special.stdtrit(self.dof, u) * self._t_scale
         if self.kind == "uniform":
             return -_SQRT3 + 2.0 * _SQRT3 * np.asarray(u, dtype=float)
         raise ParameterError("rademacher innovations have no continuous quantile function")
@@ -177,6 +176,16 @@ class InnovationDist:
                 if k >= self.dof - 1e-3:  # k read off |t|^r can miss r by rounding
                     raise RefusalError(f"E|eps|^{k:.3g} is infinite under student_t(dof={self.dof:g})") from None
             raise
+
+
+def _t_pdf(x, dof):
+    """Unit-scale Student t density in the log form ``scipy.stats.t.pdf`` uses,
+    so the bits match it."""
+    return np.exp(
+        np.log(special.poch(0.5 * dof, 0.5))
+        - 0.5 * (np.log(dof) + np.log(np.pi))
+        - (dof + 1) / 2 * np.log1p(x * x / dof)
+    )
 
 
 def _integrate(fn, pdf, support: tuple[float, float], rel_tol: float) -> float:

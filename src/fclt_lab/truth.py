@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy import stats as sps
 
 from .arma import ArmaSpec, causal_ma_coefficients
 from .asymptotics import a_r_from_sample, a_r_quadrature, gaussian_kde_at
@@ -57,8 +56,9 @@ class Truth:
 
 
 def _normal_marginal_truth(sigma_x: float, p: float, r: int) -> Truth:
-    q = float(sigma_x * sps.norm.ppf(p))
-    f = float(sps.norm.pdf(q / sigma_x) / sigma_x)
+    std = InnovationDist()
+    q = float(sigma_x * std.ppf(p))
+    f = float(std.pdf(q / sigma_x) / sigma_x)
     # E|Z|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
     abs_moment = 2.0 ** (r / 2.0) * math.gamma((r + 1) / 2.0) / math.sqrt(math.pi)
     tags = dict.fromkeys(TRUTH_ENTRIES, "closed-form")
@@ -85,6 +85,8 @@ def _arma_marginal_std(spec: ArmaSpec) -> float:
 
 def closed_form_truth(spec: ProcessSpec, p: float, r: int) -> Truth | None:
     """Exact truth when the marginal admits one, else None."""
+    if not 0.0 < p < 1.0:  # p = 0 or 1 has an infinite quantile and no density there
+        raise ParameterError(f"quantile level p must lie in (0, 1), got {p}")
     if isinstance(spec, IidSpec):
         dist = spec.innovation
         if dist.is_discrete:
@@ -163,10 +165,10 @@ def pilot_truth(
     The ``PILOT_PATHS`` = 64 paths of ceil(n / 64) values each, path i from the
     stream ``(seed, i)``, are simulated as one block, so the volatility
     recursion runs once over the whole block; the first n values of the
-    row-major block are pooled. Memory peaks at about 4 x 8n bytes in the
-    KDE of the pooled sample; the simulation holds the block and the
-    innovations, which the GARCH output overwrites (for ARMA-GARCH also the
-    ARMA filter output). Entries with exact closed forms (mean / a_r under
+    row-major block are pooled. Memory peaks in the simulation, which holds
+    the block and the innovations, which the GARCH output overwrites, about
+    2 x 8n bytes (for ARMA-GARCH also the ARMA filter output, 3 x 8n); the
+    statistics hold the pooled sample and one n-sized temporary. Entries with exact closed forms (mean / a_r under
     symmetry, the GARCH variance) are taken instead of estimated, with
     provenance recorded.
     """

@@ -14,8 +14,10 @@ from fclt_lab.asymptotics import (
     _long_run_sum,
     bahadur_remainder,
     gamma_from_trivariate,
+    gaussian_kde_at,
     iid_gamma,
     representation_gap,
+    silverman_bandwidth,
     trivariate_iid_closed_form,
     trivariate_long_run_cov_hac,
     trivariate_long_run_cov_mc,
@@ -373,3 +375,30 @@ def test_remainders_translation_consistent():
     g1 = representation_gap(values, 2, 0.0, 0.0)
     g2 = representation_gap(values + c, 2, c, 0.0)
     assert g2 == pytest.approx(g1, rel=1e-6, abs=1e-9)
+
+
+# --- kernel density at a point ------------------------------------------------------
+
+
+def test_kde_matches_the_textbook_expression_bit_for_bit():
+    v = InnovationDist("student_t", dof=5.0).sample(stream_generator(3), 100_001)
+    for x in (-3.0, -0.25, 0.0, 0.7, 12.0):
+        for h in (None, 0.05, 1.3):
+            bw = silverman_bandwidth(v) if h is None else h
+            z = (x - v) / bw
+            expected = float(np.exp(-0.5 * z * z).sum() / (v.shape[0] * bw * math.sqrt(2.0 * math.pi)))
+            assert gaussian_kde_at(v, x, h) == expected
+
+
+def test_kde_peak_memory_is_one_sample():
+    import tracemalloc
+
+    v = InnovationDist("student_t", dof=5.0).sample(stream_generator(4), 2 * 10**6)  # 15 MiB
+    x = float(np.median(v))
+    tracemalloc.start()
+    try:
+        gaussian_kde_at(v, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * v.nbytes, peak / v.nbytes  # one n-sized temporary (the textbook form holds 3)

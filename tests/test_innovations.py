@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,3 +117,43 @@ def test_far_tail_of_a_finite_moment_weighs_zero():
     # exp(X^2 / 4) overflows where the normal density has underflowed to 0
     with np.errstate(over="ignore"):
         assert InnovationDist().expect(lambda x: np.exp(x * x / 4)) == pytest.approx(math.sqrt(2.0), rel=1e-8)
+
+
+# --- scipy.special in place of scipy.stats ------------------------------------------
+
+X_GRID = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e6, -1e-300, -0.0, 0.0, 1e-300, 1e6]])
+U_GRID = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 999), [1e-300, 1e-12, 0.5, 1.0 - 1e-12]])
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_normal_cdf_ppf_pdf_equal_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    normal = InnovationDist()
+    assert _same_bits(normal.cdf(X_GRID), stats.norm.cdf(X_GRID))
+    assert _same_bits(normal.ppf(U_GRID), stats.norm.ppf(U_GRID))
+    assert _same_bits(normal.pdf(X_GRID), stats.norm.pdf(X_GRID))
+    for x, u in zip(X_GRID[::37], U_GRID[::37]):  # the scalar calls quadrature makes
+        assert _same_bits(normal.cdf(float(x)), stats.norm.cdf(float(x)))
+        assert _same_bits(normal.ppf(float(u)), stats.norm.ppf(float(u)))
+        assert _same_bits(normal.pdf(float(x)), stats.norm.pdf(float(x)))
+
+
+@pytest.mark.parametrize("dof", [2.5, 3.0, 5.0, 8.0, 15.0, 30.0])
+def test_student_t_cdf_ppf_pdf_equal_scipy_stats_bit_for_bit(dof):
+    from scipy import stats
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dof <= 4 is flagged
+        dist = InnovationDist("student_t", dof=dof)
+    s = math.sqrt((dof - 2.0) / dof)
+    assert _same_bits(dist.cdf(X_GRID), stats.t.cdf(X_GRID / s, dof))
+    assert _same_bits(dist.ppf(U_GRID), stats.t.ppf(U_GRID, dof) * s)
+    assert _same_bits(dist.pdf(X_GRID), stats.t.pdf(X_GRID / s, dof) / s)
+    for x, u in zip(X_GRID[::37], U_GRID[::37]):
+        assert _same_bits(dist.cdf(float(x)), stats.t.cdf(float(x) / s, dof))
+        assert _same_bits(dist.ppf(float(u)), stats.t.ppf(float(u), dof) * s)
+        assert _same_bits(dist.pdf(float(x)), stats.t.pdf(float(x) / s, dof) / s)

@@ -210,5 +210,4 @@ def test_resumed_recursion_matches_uninterrupted_bit_for_bit(name, split):
     tail, end = values_from_innovations(spec, eps[:, split:], state=carried, final_state=True)
     assert np.array_equal(np.concatenate([head, tail], axis=-1), values)
     assert np.array_equal(end, state)
-    if name != "ma3":  # a pure MA without a state takes scipy's FIR shortcut (arma docstring)
-        assert np.array_equal(values_from_innovations(spec, eps), values)
+    assert np.array_equal(values_from_innovations(spec, eps), values)

@@ -2,9 +2,12 @@
 imports functions and reads module constants when a workload is built, so a
 rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
-never uses, so dead imports cannot pile up unseen."""
+never uses, so dead imports cannot pile up unseen. Importing the package loads
+neither ``scipy.stats`` nor ``scipy.signal`` (together about a second of start-up);
+only an ARMA filter loads ``scipy.signal``."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -52,3 +55,45 @@ def test_library_modules_use_every_import():
             if found:
                 unused[name] = found
     assert not unused
+
+
+def _heavy_scipy_after(code: str, cwd) -> list[str]:
+    """Which of scipy.stats and scipy.signal a fresh interpreter holds after running ``code``."""
+    script = code + "\nimport sys\nprint(*(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_neither_scipy_stats_nor_signal(tmp_path):
+    assert _heavy_scipy_after("import fclt_lab, fclt_lab.cli", tmp_path) == []
+
+
+def test_garch_check_and_clt_run_load_neither_scipy_stats_nor_signal(tmp_path):
+    spec = {"model": "garch", "lambda": "power", "delta": None, "p": 1, "q": 1, "omega": 0.1,
+            "alpha": [0.1], "beta": [0.8], "gamma": [], "innovation": {"kind": "student_t", "dof": 8.0}}
+    cfg = {"experiment": "clt", "spec": spec, "p": 0.5, "r": 2, "n": 300, "reps": 8, "seed": 1,
+           "pilot": {"n": 20_000, "seed": 2}, "target": {"g11": 1.6, "g22": 2.0, "g12": 0.0}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = (
+        "from fclt_lab.cli import main\n"
+        "assert main(['check', '--spec', 'spec.json', '--r', '2', '--out', 'check.json']) == 0\n"
+        "assert main(['mc', '--config', 'cfg.json', '--out', 'mc.json', '--threads', '1']) == 0"
+    )
+    assert _heavy_scipy_after(code, tmp_path) == []
+    assert json.loads((tmp_path / "mc.json").read_text())["report"]["used"] == 8
+
+
+def test_arma_simulate_loads_scipy_signal(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"model": "arma", "phi": [-0.5], "theta": [0.3], "innovation": {"kind": "standard_normal"}}
+    ))
+    code = (
+        "from fclt_lab.cli import main\n"
+        "assert main(['simulate', '--spec', 'spec.json', '--n', '50', '--out', 'x.csv']) == 0"
+    )
+    assert "scipy.signal" in _heavy_scipy_after(code, tmp_path)
+    assert len([l for l in (tmp_path / "x.csv").read_text().splitlines() if not l.startswith("#")]) == 51

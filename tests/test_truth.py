@@ -145,3 +145,21 @@ def test_pilot_truth_garch_r2_estimates_no_moment_entry(monkeypatch):
         monkeypatch.setattr(truth_module, name, refuse)
     t = pilot_truth(GARCH11, 0.95, 2, seed=5, n=20_000)
     assert all(t.provenance[k] == "closed-form" for k in ("mu", "m_true", "a_r"))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan")])
+def test_closed_form_truth_refuses_p_outside_unit_interval(p):
+    for spec in (IidSpec(NORMAL), IidSpec(InnovationDist("student_t", dof=5.0)), ArmaSpec(phi=(-0.5,))):
+        with pytest.raises(ParameterError, match="quantile level"):
+            closed_form_truth(spec, p, 2)
+
+
+def test_normal_marginal_truth_equals_scipy_stats_bit_for_bit():
+    from scipy.stats import norm
+
+    spec = ArmaSpec(phi=(-0.5,))
+    sigma = truth_module._arma_marginal_std(spec)
+    for p in (0.01, 0.25, 0.5, 0.9, 0.95, 0.999):
+        t = closed_form_truth(spec, p, 2)
+        q = float(sigma * norm.ppf(p))
+        assert (t.q_true, t.f_at_q) == (q, float(norm.pdf(q / sigma) / sigma))
