@@ -13,7 +13,6 @@ from .asymptotics import (
     iid_gamma,
     representation_gap,
     trivariate_iid_closed_form,
-    trivariate_long_run_cov_hac,
     trivariate_long_run_cov_mc,
 )
 from .conditions import (

@@ -43,7 +43,6 @@ __all__ = [
     "gamma_target_with_se",
     "trivariate_iid_closed_form",
     "trivariate_long_run_cov_mc",
-    "trivariate_long_run_cov_hac",
     "bahadur_remainder",
     "representation_gap",
     "silverman_bandwidth",
@@ -78,7 +77,7 @@ class TrivariateLRC:
 
     sigma: np.ndarray  # 3x3, indicator row/col already scaled by -1/f
     truncation_lag: int
-    method: str  # iid_closed_form | replication_mc | hac_bartlett
+    method: str  # iid_closed_form | replication_mc
     f_at_q: float
     q_true: float
     p: float
@@ -158,27 +157,6 @@ def iid_gamma(dist: InnovationDist, p: float, r: int, q_true: float | None = Non
     return gamma_from_trivariate(trivariate_iid_closed_form(dist, p, r, q_true, f_at_q), a_r_quadrature(dist, r))
 
 
-def _partial_expect(dist: InnovationDist, h, upper: float) -> float:
-    """E[h(X) 1(X <= upper)] via quadrature split at 0 / enumeration."""
-    if dist.is_discrete:
-        return 0.5 * sum(float(h(x)) for x in (-1.0, 1.0) if x <= upper)
-    # integrate only below the cutoff; keep the split at 0 for kink safety
-    lo, hi = dist.support()
-    cut = min(upper, hi)
-    if cut <= lo:
-        return 0.0
-    total = 0.0
-    from .innovations import _quad_piece  # shared adaptive quadrature core
-
-    pieces = [(lo, min(0.0, cut))] + ([(0.0, cut)] if cut > 0.0 else [])
-    for a, b in pieces:
-        if b <= a:
-            continue
-        val, _ = _quad_piece(lambda x: float(h(x)) * float(dist.pdf(x)), a, b)
-        total += val
-    return total
-
-
 def trivariate_iid_closed_form(
     dist: InnovationDist, p: float, r: int, q_true: float | None = None, f_at_q: float | None = None
 ) -> TrivariateLRC:
@@ -194,8 +172,8 @@ def trivariate_iid_closed_form(
     m_r = dist.expect(lambda x: np.abs(x) ** r)
     var_abs = dist.expect(lambda x: np.abs(x) ** (2 * r)) - m_r * m_r
     cov_x_absr = dist.expect(lambda x: x * np.abs(x) ** r) - mu * m_r
-    cov_ind_x = _partial_expect(dist, lambda x: x, q) - p * mu
-    cov_ind_absr = _partial_expect(dist, lambda x: np.abs(x) ** r, q) - p * m_r
+    cov_ind_x = dist.expect(lambda x: x, hi=q) - p * mu
+    cov_ind_absr = dist.expect(lambda x: np.abs(x) ** r, hi=q) - p * m_r
     sigma = np.array(
         [
             [var_x, cov_x_absr, -cov_ind_x / f],
@@ -249,21 +227,18 @@ def _component_series(values: np.ndarray, r: int, q: float) -> np.ndarray:
     return np.stack([values, absr, ind], axis=-2)
 
 
-def _long_run_sum(
-    series: np.ndarray, max_lag: int, weights: np.ndarray | None = None, lag_out: np.ndarray | None = None
-) -> np.ndarray:
+def _long_run_sum(series: np.ndarray, max_lag: int, lag_out: np.ndarray) -> np.ndarray:
     """Truncated long-run covariance of centered series (..., 3, n).
 
     The series are centred once into a row-major (C-order) block, so every
     lagged operand is a contiguous run of each row. Lag i, clamped to n - 1,
     fills slot i of a (..., L+1, 3, 3) tensor with one batched matmul of the
-    block against its lag-i shift; the truncation (default, all ones) or
-    Bartlett ``weights`` then enter through a single contraction over that
-    tensor. The uniform n/(n-1) factor removes the lag-0 bias from mean
-    estimation (exact for independent data) without breaking positive
-    semi-definiteness. ``lag_out`` (max_lag+1, 3, 3), when given, accumulates
-    the per-lag covariance matrices summed over the batch (for tail-decay
-    fitting).
+    block against its lag-i shift; the lags 1..L are then summed by a single
+    contraction with a vector of ones, whose summation order the report bits
+    are pinned to. The uniform n/(n-1) factor removes the lag-0 bias from
+    mean estimation (exact for independent data) without breaking positive
+    semi-definiteness. ``lag_out`` (max_lag+1, 3, 3) accumulates the per-lag
+    covariance matrices summed over the batch (for tail-decay fitting).
     """
     n = series.shape[-1]
     L = min(max_lag, n - 1)
@@ -272,10 +247,8 @@ def _long_run_sum(
     for i in range(L + 1):
         np.matmul(c[..., i:], np.swapaxes(c[..., : n - i], -1, -2), out=lags[..., i, :, :])
     lags /= n
-    if lag_out is not None:
-        lag_out[: L + 1] += lags.reshape(-1, L + 1, 3, 3).sum(axis=0)
-    w = np.ones(L) if weights is None else np.asarray(weights, dtype=np.float64)[1 : L + 1]
-    half = np.einsum("l,...lab->...ab", w, lags[..., 1:, :, :])
+    lag_out[: L + 1] += lags.reshape(-1, L + 1, 3, 3).sum(axis=0)
+    half = np.einsum("l,...lab->...ab", np.ones(L), lags[..., 1:, :, :])
     return (lags[..., 0, :, :] + half + np.swapaxes(half, -1, -2)) * (n / (n - 1.0))
 
 
@@ -380,7 +353,7 @@ def trivariate_long_run_cov_mc(
     )
 
 
-# --- single-path HAC estimator -----------------------------------------------------
+# --- kernel density estimate (pilot truth) ------------------------------------------
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -404,45 +377,6 @@ def gaussian_kde_at(values: np.ndarray, x: float, bandwidth: float | None = None
     z *= -0.5
     np.exp(z, out=z)
     return float(z.sum() / (v.shape[0] * h * math.sqrt(2.0 * math.pi)))
-
-
-def trivariate_long_run_cov_hac(path_or_values, p: float, r: int, bandwidth: int | None = None) -> TrivariateLRC:
-    """Bartlett-kernel long-run covariance from a single path.
-
-    Uses the sample quantile and a Gaussian-kernel density estimate in place
-    of the unknown q and f(q); PSD by construction of the Bartlett weights.
-    """
-    values = np.asarray(getattr(path_or_values, "values", path_or_values), dtype=np.float64)
-    n = values.shape[0]
-    if bandwidth is None:
-        bandwidth = int(n ** (1.0 / 3.0))
-    if bandwidth < 0:
-        raise ParameterError("bandwidth must be >= 0")
-    if bandwidth > 0 and n < 10 * bandwidth:
-        raise ParameterError(f"need n >= 10*bandwidth, got n={n}, bandwidth={bandwidth}")
-    q_hat = sample_quantile(values, p)
-    f_hat = gaussian_kde_at(values, q_hat)
-    if not f_hat > 0:
-        raise SingularityError("degenerate density estimate at the sample quantile")
-    weights = 1.0 - np.arange(bandwidth + 1) / (bandwidth + 1.0)
-    series = _component_series(values[None, :], r, q_hat)[0]
-    sigma = _long_run_sum(series, bandwidth, weights=weights)
-    sigma = _scale_indicator_row(sigma, f_hat)
-    sigma = 0.5 * (sigma + sigma.T)
-    note = "q and f estimated from the path"
-    singular = _singularity_note(sigma)
-    if singular:
-        note = f"{note}; {singular}"
-    return TrivariateLRC(
-        sigma=sigma,
-        truncation_lag=bandwidth,
-        method="hac_bartlett",
-        f_at_q=f_hat,
-        q_true=q_hat,
-        p=float(p),
-        r=int(r),
-        note=note,
-    )
 
 
 # --- remainder terms ---------------------------------------------------------------

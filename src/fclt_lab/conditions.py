@@ -11,10 +11,12 @@ sum_j |c_j| < 1 (the c_j are the constant beta_j) plus finiteness of
 E[exp(4 r sum_i g_i(eps)^2)]. ARMA causality requires every root of the
 autoregressive polynomial to lie strictly outside the unit circle.
 
-The quadrature oracle is authoritative; closed-form table rows are
-convenience paths cross-checked against it. Exponential-moment finiteness is
-only semi-decidable numerically: it is classified by truncated quadrature
-plus a tail-growth probe and may come back inconclusive.
+The quadrature oracle (``InnovationDist.expect``, through which every
+integral here goes) is authoritative; closed-form table rows are convenience
+paths cross-checked against it. Exponential-moment finiteness is only
+semi-decidable numerically: it is classified by truncated quadrature plus a
+tail-growth probe, and comes back inconclusive when a piece of the
+quadrature misses its accuracy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .arma import ArmaSpec
-from .errors import ParameterError, RefusalError, WrongGroupError
+from .errors import ParameterError, QuadratureError, RefusalError, WrongGroupError
 from .garch import AugGarchSpec, EXPONENTIAL_MODELS
 from .innovations import InnovationDist
 from .processes import IidSpec, ProcessSpec
@@ -205,7 +207,9 @@ def _exp_moment_class(spec: AugGarchSpec, r: int) -> tuple[str, float]:
     the support; unbounded supports combine truncated quadrature (the origin
     shell |eps| < 1e-8, of negligible probability mass, is excluded because
     log transforms are singular there) with a growth probe of
-    4 r sum g_i^2 + log pdf at increasing |eps|.
+    4 r sum g_i^2 + log pdf at increasing |eps|. Every piece goes through
+    ``InnovationDist.expect``: a piece that misses its accuracy is
+    inconclusive, and an infinite integral or error estimate is divergent.
     """
     dist = spec.innovation
     g_list = spec.g_transforms()
@@ -214,8 +218,7 @@ def _exp_moment_class(spec: AugGarchSpec, r: int) -> tuple[str, float]:
         return 4.0 * r * sum(float(g(x)) ** 2 for g in g_list)
 
     if dist.is_discrete:
-        value = 0.5 * sum(math.exp(integrand_exponent(x)) for x in (-1.0, 1.0))
-        return "finite", value
+        return "finite", dist.expect(lambda x: math.exp(integrand_exponent(x)))
 
     lo, hi = dist.support()
     if math.isfinite(lo) and math.isfinite(hi):
@@ -239,31 +242,16 @@ def _exp_moment_class(spec: AugGarchSpec, r: int) -> tuple[str, float]:
     floor = 1e-8
     cut = 64.0 if not math.isfinite(hi) else hi
     lo_cut = -64.0 if not math.isfinite(lo) else lo
-    total = 0.0
+    pieces = [(lo_cut, -floor), (floor, cut)]
+    if not math.isfinite(hi):  # add the analytic-decay tails by quadrature
+        pieces += [(cut, math.inf), (-math.inf, lo_cut)]
     try:
-        for a, b in ((lo_cut, -floor), (floor, cut)):
-            total += dist_quad(dist, integrand_exponent, a, b)
-        if not math.isfinite(hi):  # add the analytic-decay tails by quadrature
-            total += dist_quad(dist, integrand_exponent, cut, math.inf)
-            total += dist_quad(dist, integrand_exponent, -math.inf, lo_cut)
-    except Exception:
+        total = sum(dist.expect(lambda x: math.exp(min(integrand_exponent(x), 700.0)), a, b) for a, b in pieces)
+    except QuadratureError as exc:
+        return ("divergent", math.inf) if math.isinf(exc.achieved_rel_tol) else ("inconclusive", math.nan)
+    except RefusalError:  # the Student t tail-power probe assumes polynomial growth
         return "inconclusive", math.nan
-    if not math.isfinite(total):
-        return "divergent", math.inf
     return ("finite" if tail_ok else "inconclusive"), total
-
-
-def dist_quad(dist: InnovationDist, exponent_fn, a: float, b: float) -> float:
-    from scipy import integrate
-    import warnings as _warnings
-
-    def f(x):
-        return math.exp(min(exponent_fn(x), 700.0)) * float(dist.pdf(x))
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
-    return float(val)
 
 
 def check_exponential_condition(spec: AugGarchSpec, r: int) -> ConditionReport:

@@ -8,9 +8,13 @@ Four laws are supported:
 * ``rademacher`` -- +/-1 with probability 1/2 each,
 * ``uniform`` -- U(-sqrt(3), sqrt(3)).
 
-Expectations of nonlinear transforms are evaluated by adaptive quadrature
-(continuous laws, split at the origin so kinks and log singularities are
-handled) or exact enumeration (discrete laws).
+Every integral against the innovation law in the package -- the moment
+conditions, the iid covariance of (X, |X|^r, 1{X <= q}), the fixed point of
+the volatility recursion -- goes through ``InnovationDist.expect``, the one
+integrator: adaptive quadrature (QUADPACK via ``scipy.integrate``, imported
+only here) over the support intersected with [lo, hi], split at the origin so
+kinks and log singularities are handled, with one accuracy policy
+(``QUAD_REL_TOL``); a discrete law enumerates its atoms.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import ParameterError, QuadratureError, RefusalError
+from .errors import NumericsError, ParameterError, QuadratureError, RefusalError
 
 __all__ = ["InnovationDist", "KINDS"]
 
@@ -114,13 +118,21 @@ class InnovationDist:
         return np.where(x < -1.0, 0.0, np.where(x < 1.0, 0.5, 1.0))
 
     def ppf(self, u):
+        """Quantile function; raises NumericsError where a u in (0, 1) has no
+        finite quantile in double precision (``stdtrit`` returns +inf for
+        u below about 1e-250 at dof 3)."""
         if self.kind == "standard_normal":
-            return special.ndtri(u)
-        if self.kind == "student_t":
-            return special.stdtrit(self.dof, u) * self._t_scale
-        if self.kind == "uniform":
-            return -_SQRT3 + 2.0 * _SQRT3 * np.asarray(u, dtype=float)
-        raise ParameterError("rademacher innovations have no continuous quantile function")
+            q = special.ndtri(u)
+        elif self.kind == "student_t":
+            q = special.stdtrit(self.dof, u) * self._t_scale
+        elif self.kind == "uniform":
+            q = -_SQRT3 + 2.0 * _SQRT3 * np.asarray(u, dtype=float)
+        else:
+            raise ParameterError("rademacher innovations have no continuous quantile function")
+        u = np.asarray(u)
+        if np.any((0.0 < u) & (u < 1.0) & ~np.isfinite(q)):
+            raise NumericsError(f"{self.kind} quantile is out of double range at some u in (0, 1)")
+        return q
 
     # --- moments ----------------------------------------------------------
 
@@ -154,22 +166,28 @@ class InnovationDist:
             out *= (2 * i - 1) * (nu - 2.0) / (nu - 2.0 * i)
         return float(out)
 
-    def expect(self, fn, rel_tol: float = QUAD_REL_TOL) -> float:
-        """E[fn(eps)] by adaptive quadrature (continuous) or enumeration (discrete).
+    def expect(self, fn, lo: float = -math.inf, hi: float = math.inf) -> float:
+        """E[fn(eps) 1(lo <= eps <= hi)]: the package's one integrator.
 
-        The integration domain is split at 0 so that absolute-value kinks and
-        log singularities at the origin are resolved. Where the density
-        underflows to 0 the integrand is 0, so a far tail never weighs
-        fn = inf by 0, and the error is judged against the size of the two
-        halves, so an odd integrand whose halves cancel passes. Raises
-        QuadratureError when the requested relative tolerance is not met,
-        and RefusalError naming the moment when that is because fn grows like
-        |eps|^k with k >= dof under a Student t law.
+        Continuous laws are integrated by adaptive quadrature over the
+        support intersected with [lo, hi], split at 0 when 0 lies inside so
+        that absolute-value kinks and log singularities at the origin are
+        resolved; a discrete law enumerates its atoms in [lo, hi]. Where the
+        density underflows to 0 the integrand is 0, so a far tail never
+        weighs fn = inf by 0, and the error is judged against the size of the
+        pieces, so an odd integrand whose halves cancel passes. Raises
+        QuadratureError when ``QUAD_REL_TOL`` is not met, and RefusalError
+        naming the moment when that is because fn grows like |eps|^k with
+        k >= dof under a Student t law.
         """
         if self.kind == "rademacher":
-            return 0.5 * (float(fn(-1.0)) + float(fn(1.0)))
+            return 0.5 * sum(float(fn(x)) for x in (-1.0, 1.0) if lo <= x <= hi)
+        a, b = self.support()
+        a, b = max(a, lo), min(b, hi)
+        if not a < b:
+            return 0.0
         try:
-            return _integrate(fn, self.pdf, self.support(), rel_tol)
+            return _integrate(fn, self.pdf, a, b)
         except QuadratureError:
             if self.kind == "student_t":
                 k = _tail_power(fn)
@@ -188,20 +206,20 @@ def _t_pdf(x, dof):
     )
 
 
-def _integrate(fn, pdf, support: tuple[float, float], rel_tol: float) -> float:
+def _integrate(fn, pdf, a: float, b: float) -> float:
     def weighed(x):
         density = float(pdf(x))
         return float(fn(x)) * density if density > 0.0 else 0.0
 
-    lo, hi = support
-    halves = [_quad_piece(weighed, a, b) for a, b in ((lo, 0.0), (0.0, hi))]
+    pieces = ((a, 0.0), (0.0, b)) if a < 0.0 < b else ((a, b),)
+    halves = [_quad_piece(weighed, lo, hi) for lo, hi in pieces]
     total = sum(val for val, _ in halves)
     err = sum(abserr for _, abserr in halves)
     scale = sum(abs(val) for val, _ in halves)
     if not math.isfinite(total):
         raise QuadratureError(math.inf, "integral is non-finite")
     # relative criterion, with an absolute floor so zero-valued integrals pass
-    if err > max(rel_tol * scale, 1e-10):
+    if err > max(QUAD_REL_TOL * scale, 1e-10):
         raise QuadratureError(err / max(scale, 1e-300))
     return total
 

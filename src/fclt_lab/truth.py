@@ -21,7 +21,7 @@ from .errors import ParameterError, RefusalError, SingularityError
 from .garch import AugGarchSpec
 from .innovations import InnovationDist
 from .parallel import run_chunked
-from .processes import IidSpec, ProcessSpec, simulate_batch, spec_fingerprint
+from .processes import IidSpec, ProcessSpec, innovation_driver, simulate_batch, spec_fingerprint
 from .estimators import known_mean_abs_moment, sample_mean, sample_quantile
 
 __all__ = ["Truth", "TRUTH_ENTRIES", "closed_form_truth", "pilot_truth", "truth_from_sample", "resolve_truth"]
@@ -106,40 +106,41 @@ def closed_form_truth(spec: ProcessSpec, p: float, r: int) -> Truth | None:
 def _partial_closed_entries(spec: ProcessSpec, r: int) -> dict[str, float]:
     """Entries known exactly even when the full marginal is not."""
     out: dict[str, float] = {}
-    dist = None
-    if isinstance(spec, AugGarchSpec):
-        dist = spec.innovation
-        if dist.is_symmetric:
-            out["mu"] = 0.0
-            out["a_r"] = 0.0
-        if spec.model == "garch" and r == 2:
-            persistence = sum(spec.alpha) + sum(spec.beta)
-            if persistence < 1.0:
-                out["m_true"] = spec.omega / (1.0 - persistence)  # E[X^2], mu = 0
-    elif isinstance(spec, ArmaSpec):
-        dist = spec.iid_driver
-        if dist.is_symmetric:
-            out["mu"] = 0.0
-            out["a_r"] = 0.0
+    if innovation_driver(spec).is_symmetric:  # a symmetric driver gives a symmetric marginal
+        out["mu"] = 0.0
+        out["a_r"] = 0.0
+    if isinstance(spec, AugGarchSpec) and spec.model == "garch" and r == 2:
+        persistence = sum(spec.alpha) + sum(spec.beta)
+        if persistence < 1.0:
+            out["m_true"] = spec.omega / (1.0 - persistence)  # E[X^2], mu = 0
     return out
 
 
 def truth_from_sample(
-    values: np.ndarray, p: float, r: int, provenance_tag: str = "sample", closed: dict | None = None
+    values: np.ndarray,
+    p: float,
+    r: int,
+    provenance_tag: str = "sample",
+    closed: dict | None = None,
+    density: bool = True,
 ) -> Truth:
     """Estimate every truth entry from one large stationary sample.
 
     Entries given in ``closed`` are exact: they are taken as given, tagged
     ``closed-form`` and not estimated. The moment and a_r estimates centre at
-    the sample mean even where ``mu`` is closed.
+    the sample mean even where ``mu`` is closed. ``density=False`` leaves
+    ``f_at_q`` as None without a kernel estimate, for samples whose law need
+    not have a density.
     """
     closed = closed or {}
     x = np.asarray(values, dtype=np.float64).ravel()
     q = sample_quantile(x, p)
-    try:
-        f = gaussian_kde_at(x, q)
-    except SingularityError:  # a degenerate sample has no density estimate
-        f = None
+    f = None
+    if density:
+        try:
+            f = gaussian_kde_at(x, q)
+        except SingularityError:  # a degenerate sample has no density estimate
+            pass
     est = {"q_true": q, "f_at_q": f}
     if not {"mu", "m_true", "a_r"} <= closed.keys():
         est["mu"] = mu = sample_mean(x)
@@ -168,9 +169,11 @@ def pilot_truth(
     row-major block are pooled. Memory peaks in the simulation, which holds
     the block and the innovations, which the GARCH output overwrites, about
     2 x 8n bytes (for ARMA-GARCH also the ARMA filter output, 3 x 8n); the
-    statistics hold the pooled sample and one n-sized temporary. Entries with exact closed forms (mean / a_r under
-    symmetry, the GARCH variance) are taken instead of estimated, with
-    provenance recorded.
+    statistics hold the pooled sample and one n-sized temporary. Entries with
+    exact closed forms (mean / a_r under symmetry, the GARCH variance) are
+    taken instead of estimated, with provenance recorded. When the driving
+    noise is discrete, ``f_at_q`` is left as None, so a run that needs the
+    density refuses.
     """
     if n < 1:
         raise ParameterError(f"pilot n must be >= 1, got {n}")
@@ -190,7 +193,9 @@ def pilot_truth(
         ).encode()
     ).hexdigest()[:16]
     tag = f"pilot-mc(n={n}, seed={seed}, fingerprint={fp})"
-    est = truth_from_sample(pooled, p, r, provenance_tag=tag, closed=_partial_closed_entries(spec, r))
+    closed = _partial_closed_entries(spec, r)
+    # discrete driving noise (Rademacher) gives no verifiable density: no KDE
+    est = truth_from_sample(pooled, p, r, tag, closed, density=not innovation_driver(spec).is_discrete)
     return replace(est, pilot_fingerprint=fp)
 
 

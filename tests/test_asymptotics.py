@@ -19,7 +19,6 @@ from fclt_lab.asymptotics import (
     representation_gap,
     silverman_bandwidth,
     trivariate_iid_closed_form,
-    trivariate_long_run_cov_hac,
     trivariate_long_run_cov_mc,
 )
 from fclt_lab.arma import ArmaSpec
@@ -152,6 +151,14 @@ def test_mc_refuses_single_step_paths():
         trivariate_long_run_cov_mc(IidSpec(NORMAL), 0.5, 2, q_true=0.0, f_at_q=0.4, n_per_rep=1, n_reps=4, seed=1)
 
 
+def test_mc_near_singular_flagged():
+    # iid Rademacher at r = 2: the |X|^2 row is the constant 1, so sigma is singular
+    lrc = trivariate_long_run_cov_mc(
+        IidSpec(InnovationDist("rademacher")), 0.5, 2, q_true=0.0, f_at_q=0.5, max_lag=5, n_per_rep=500, n_reps=8, seed=4
+    )
+    assert lrc.note is not None and "singular" in lrc.note
+
+
 def test_mc_ar1_long_run_variance_of_u():
     # Var(U) = Var(X0) (1 + 2 sum 0.5^i) = 3 Var(X0) = 4 for the AR(1) example
     from fclt_lab.truth import closed_form_truth
@@ -223,7 +230,7 @@ def test_mc_bytes_independent_of_blas_threads():
 # --- lag kernel ----------------------------------------------------------------------------
 
 
-def _reference_long_run(series, max_lag, weights=None):
+def _reference_long_run(series, max_lag):
     """Plain double loop over lags and component pairs with exact sums."""
     n = series.shape[-1]
     c = [series[a] - math.fsum(series[a]) / n for a in range(3)]
@@ -232,10 +239,9 @@ def _reference_long_run(series, max_lag, weights=None):
         for a in range(3):
             for b in range(3):
                 lags[i, a, b] = math.fsum(c[a][i:] * c[b][: n - i]) / n
-    w = np.ones(lags.shape[0]) if weights is None else weights
     out = lags[0].copy()
     for i in range(1, lags.shape[0]):
-        out += w[i] * (lags[i] + lags[i].T)
+        out += lags[i] + lags[i].T
     return out * (n / (n - 1.0)), lags
 
 
@@ -248,20 +254,18 @@ def kernel_series():
 
 
 @pytest.mark.parametrize("max_lag", [0, 5, 399, 500])
-@pytest.mark.parametrize("bartlett", [False, True])
 @pytest.mark.parametrize("time_major", [False, True])
-def test_lag_kernel_matches_double_loop(kernel_series, max_lag, bartlett, time_major):
+def test_lag_kernel_matches_double_loop(kernel_series, max_lag, time_major):
     series = kernel_series
     if time_major:  # (2, 3, n) view of a (n, 2, 3) block: strides (24, 8, 48)
         series = np.moveaxis(np.ascontiguousarray(np.moveaxis(series, -1, 0)), 0, -1)
         assert series.strides[-1] == 48
-    weights = 1.0 - np.arange(max_lag + 1) / (max_lag + 1.0) if bartlett else None
     lag_out = np.zeros((max_lag + 1, 3, 3))
-    out = _long_run_sum(series, max_lag, weights=weights, lag_out=lag_out)
+    out = _long_run_sum(series, max_lag, lag_out=lag_out)
     assert out.shape == (2, 3, 3)
     lag_sum = np.zeros_like(lag_out)
     for row in range(2):
-        ref, ref_lags = _reference_long_run(kernel_series[row], max_lag, weights)
+        ref, ref_lags = _reference_long_run(kernel_series[row], max_lag)
         # the relative error of a sum is bounded against the summed magnitudes
         # of its terms: at L = n - 1 the centred lags cancel to ~0
         scale = 2.0 * np.abs(ref_lags).sum(axis=0).max()
@@ -270,45 +274,6 @@ def test_lag_kernel_matches_double_loop(kernel_series, max_lag, bartlett, time_m
     np.testing.assert_allclose(lag_out, lag_sum, rtol=1e-12, atol=1e-12 * np.abs(lag_sum).max())
     if max_lag > 399:  # clamped to n - 1: the lags beyond stay untouched
         assert not lag_out[400:].any()
-
-
-# --- single-path HAC -------------------------------------------------------------------
-
-
-def test_hac_iid_normal_close_to_closed_form():
-    values = simulate(IidSpec(NORMAL), 100_000, seed=23).values
-    lrc = trivariate_long_run_cov_hac(values, 0.5, 2, bandwidth=20)
-    mapped = gamma_from_trivariate(lrc, 0.0)
-    exact = iid_gamma(NORMAL, 0.5, 2)
-    assert mapped.g11 == pytest.approx(exact.g11, rel=0.10)
-    assert mapped.g22 == pytest.approx(exact.g22, rel=0.10)
-    assert abs(mapped.g12 - exact.g12) < 0.10 * math.sqrt(exact.g11 * exact.g22)
-
-
-def test_hac_bandwidth_zero_is_lag0_covariance():
-    values = simulate(IidSpec(NORMAL), 5000, seed=2).values
-    lrc = trivariate_long_run_cov_hac(values, 0.5, 2, bandwidth=0)
-    assert lrc.sigma[0, 0] == pytest.approx(np.var(values, ddof=1), rel=1e-12)
-    assert lrc.truncation_lag == 0
-
-
-def test_hac_is_psd():
-    values = simulate(AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,)), 20_000, seed=9).values
-    lrc = trivariate_long_run_cov_hac(values, 0.9, 2)
-    assert lrc.min_eigenvalue() >= -1e-8 * np.abs(np.diag(lrc.sigma)).max()
-
-
-def test_hac_near_singular_flagged():
-    rng = stream_generator(77)
-    values = 5.0 + 1e-9 * rng.standard_normal(2000)
-    lrc = trivariate_long_run_cov_hac(values, 0.5, 2, bandwidth=5)
-    assert lrc.note is not None and "singular" in lrc.note
-
-
-def test_hac_requires_enough_data():
-    values = np.arange(50, dtype=float)
-    with pytest.raises(Exception):
-        trivariate_long_run_cov_hac(values, 0.5, 2, bandwidth=20)
 
 
 # --- remainder terms ---------------------------------------------------------------------

@@ -397,3 +397,25 @@ def test_mc_replication_target_takes_a_list_seed(garch_spec_file, tmp_path):
     report = json.loads(out.read_text())
     assert report["manifest"]["master_seed"] == [3, 1]
     assert report["target_long_run_cov"]["method"] == "replication_mc"
+
+
+def test_mc_rademacher_pilot_refuses_without_a_density(tmp_path, capsys):
+    # a discrete law has no density at the quantile, so the clt run cannot be scaled
+    cfg = {
+        "experiment": "clt",
+        "spec": {"model": "iid", "innovation": {"kind": "rademacher"}},
+        "p": 0.5,
+        "r": 2,
+        "n": 500,
+        "reps": 50,
+        "seed": 1,
+        "pilot": {"n": 20_000, "seed": 2},
+        "target": {"g11": 1.6, "g22": 2.0, "g12": 0.0},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("refused:")
+    assert "f_at_q" in captured.err

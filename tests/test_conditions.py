@@ -149,6 +149,23 @@ def test_mgarch_small_alpha_exponential_moment_finite():
     assert "finite" in rep.discrepancy_note
 
 
+@pytest.mark.parametrize(
+    "omega, alpha, dist, r",
+    [(0.1, 0.05, NORMAL, 2), (-0.5, 0.15, InnovationDist("student_t", dof=15.0), 3)],
+    ids=["normal", "student_t"],
+)
+def test_mgarch_exponential_moment_without_accuracy_is_inconclusive(omega, alpha, dist, r):
+    # the integrand exp(4 r g^2), g = omega + alpha log(eps^2), is too steep
+    # beside the excluded origin shell for QUADPACK: with its failure flag
+    # discarded these read "finite (1.09389)" and "finite (3.62808e+179)";
+    # under the Student t law the failed piece's tail-power probe, which
+    # assumes polynomial growth, must not turn into a refusal
+    spec = AugGarchSpec(model="mgarch", p=1, q=1, omega=omega, alpha=(alpha,), beta=(0.5,), innovation=dist)
+    rep = check_exponential_condition(spec, r)
+    assert not rep.satisfied
+    assert rep.discrepancy_note == "exponential g-moment inconclusive"
+
+
 def test_mgarch_student_tail_divergent():
     # polynomial tails cannot carry exp((log e^2)^2): divergent verdict
     with pytest.warns(UserWarning):

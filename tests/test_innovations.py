@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fclt_lab.asymptotics import iid_gamma
-from fclt_lab.errors import ParameterError, QuadratureError, RefusalError
+from fclt_lab.errors import NumericsError, ParameterError, QuadratureError, RefusalError
 from fclt_lab.innovations import InnovationDist
+from fclt_lab.processes import IidSpec
 from fclt_lab.rng import stream_generator
+from fclt_lab.truth import closed_form_truth
 
 ALL_DISTS = [
     InnovationDist("standard_normal"),
@@ -113,6 +116,66 @@ def test_student_infinite_moment_is_refused_by_name(dof):
         iid_gamma(dist, 0.5, 3)
 
 
+def test_ppf_refuses_a_quantile_out_of_double_range():
+    with pytest.warns(UserWarning):
+        t3 = InnovationDist("student_t", dof=3.0)
+    assert math.isfinite(t3.ppf(1e-200))
+    for u in (1e-260, np.array([0.5, 1e-300])):
+        with pytest.raises(NumericsError):
+            t3.ppf(u)
+    with pytest.raises(NumericsError):
+        closed_form_truth(IidSpec(t3), 1e-260, 2)
+
+
+def _former_partial_expect(dist, h, upper):
+    """E[h(X) 1(X <= upper)] as computed before ``expect`` took bounds: its own
+    split at 0, pdf weighting and Rademacher enumeration, QUADPACK at the
+    settings of ``expect``."""
+    if dist.is_discrete:
+        return 0.5 * sum(float(h(x)) for x in (-1.0, 1.0) if x <= upper)
+    lo, hi = dist.support()
+    cut = min(upper, hi)
+    if cut <= lo:
+        return 0.0
+    total = 0.0
+    pieces = [(lo, min(0.0, cut))] + ([(0.0, cut)] if cut > 0.0 else [])
+    for a, b in pieces:
+        if b <= a:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            out = integrate.quad(
+                lambda x: float(h(x)) * float(dist.pdf(x)), a, b, epsabs=1e-13, epsrel=1e-10, limit=200, full_output=1
+            )
+        assert len(out) == 3  # QUADPACK reported success
+        total += out[0]
+    return total
+
+
+PARTIAL_LAWS = ALL_DISTS + [InnovationDist("student_t", dof=8.0)]
+
+
+@pytest.mark.parametrize("dist", PARTIAL_LAWS, ids=lambda d: f"{d.kind}{d.dof or ''}")
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_expect_below_q_equals_the_former_partial_expect_bit_for_bit(dist, r):
+    lo, hi = dist.support()
+    # at, below and above the support, at 0, and inside
+    qs = [lo, hi, lo - 1.0, hi + 1.0, -50.0, 50.0, 0.0, -1.0, 1.0, -0.3, 0.7, 1e-9]
+    for h in (lambda x: x, lambda x: np.abs(x) ** r):
+        for q in qs:
+            assert float(dist.expect(h, hi=q)).hex() == float(_former_partial_expect(dist, h, q)).hex(), q
+
+
+def test_expect_integrates_over_the_support_within_lo_hi():
+    normal, uniform, rademacher = InnovationDist(), InnovationDist("uniform"), InnovationDist("rademacher")
+    assert normal.expect(lambda x: 1.0, lo=-1.0, hi=1.0) == pytest.approx(normal.cdf(1.0) - normal.cdf(-1.0), rel=1e-12)
+    assert normal.expect(lambda x: 1.0, lo=1.0) == pytest.approx(normal.cdf(-1.0), rel=1e-12)
+    assert uniform.expect(lambda x: 1.0, lo=-10.0, hi=0.5) == pytest.approx((0.5 + math.sqrt(3.0)) / (2 * math.sqrt(3.0)))
+    assert normal.expect(lambda x: 1.0, lo=1.0, hi=1.0) == 0.0  # an empty range
+    assert rademacher.expect(lambda x: x, lo=0.0) == 0.5  # only the atom at +1
+    assert rademacher.expect(lambda x: x, lo=-0.5, hi=0.5) == 0.0
+
+
 def test_far_tail_of_a_finite_moment_weighs_zero():
     # exp(X^2 / 4) overflows where the normal density has underflowed to 0
     with np.errstate(over="ignore"):
@@ -151,7 +214,12 @@ def test_student_t_cdf_ppf_pdf_equal_scipy_stats_bit_for_bit(dof):
         dist = InnovationDist("student_t", dof=dof)
     s = math.sqrt((dof - 2.0) / dof)
     assert _same_bits(dist.cdf(X_GRID), stats.t.cdf(X_GRID / s, dof))
-    assert _same_bits(dist.ppf(U_GRID), stats.t.ppf(U_GRID, dof) * s)
+    ref_ppf = stats.t.ppf(U_GRID, dof) * s
+    finite = np.isfinite(ref_ppf)  # stdtrit gives +inf at u = 1e-300 for dof <= 8
+    assert _same_bits(dist.ppf(U_GRID[finite]), ref_ppf[finite])
+    if not finite.all():
+        with pytest.raises(NumericsError):
+            dist.ppf(U_GRID)
     assert _same_bits(dist.pdf(X_GRID), stats.t.pdf(X_GRID / s, dof) / s)
     for x, u in zip(X_GRID[::37], U_GRID[::37]):
         assert _same_bits(dist.cdf(float(x)), stats.t.cdf(float(x) / s, dof))

@@ -4,11 +4,14 @@ rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
 never uses, so dead imports cannot pile up unseen. Importing the package loads
 neither ``scipy.stats`` nor ``scipy.signal`` (together about a second of start-up);
-only an ARMA filter loads ``scipy.signal``."""
+only an ARMA filter loads ``scipy.signal``. Only ``innovations.py`` names
+``scipy.integrate`` or ``quad``: every integral against the innovation law goes
+through ``InnovationDist.expect``."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -55,6 +58,21 @@ def test_library_modules_use_every_import():
             if found:
                 unused[name] = found
     assert not unused
+
+
+_QUADRATURE = re.compile(r"scipy\.integrate|from\s+scipy\s+import[^\n]*\bintegrate\b|\bquad\b")
+
+
+def test_only_innovations_names_the_integrator():
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "innovations.py":
+            with open(os.path.join(src, name)) as fh:
+                lines = [i for i, line in enumerate(fh, 1) if _QUADRATURE.search(line)]
+            if lines:
+                found[name] = lines
+    assert not found
 
 
 def _heavy_scipy_after(code: str, cwd) -> list[str]:

@@ -96,6 +96,17 @@ def test_pilot_truth_garch_overrides_closed_entries():
     assert t.f_at_q > 0
 
 
+def test_pilot_truth_discrete_driver_leaves_density_unknown(monkeypatch):
+    # a Rademacher sample has no density to estimate: no KDE runs, and the
+    # symmetric law gives mu = a_r = 0 exactly
+    monkeypatch.setattr(truth_module, "gaussian_kde_at", lambda *a, **k: pytest.fail("KDE ran"))
+    t = pilot_truth(IidSpec(InnovationDist("rademacher")), 0.5, 2, seed=2, n=20_000)
+    assert t.f_at_q is None
+    assert t.mu == 0.0 and t.a_r == 0.0
+    assert t.provenance["mu"] == t.provenance["a_r"] == "closed-form"
+    assert t.provenance["f_at_q"].startswith("pilot-mc")
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_pilot_truth_refuses_non_positive_n(n):
     # n = -1 used to slice the pooled draws to all but the last one
