@@ -319,7 +319,7 @@ def trivariate_long_run_cov_mc(
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
     ok, reports = approve(spec, r)
     if not ok:
-        raise refusal(reports)
+        raise refusal(spec, reports)
 
     rep_sigma = np.empty((n_reps, 3, 3))
     n_chunks = (n_reps + chunk_size - 1) // chunk_size

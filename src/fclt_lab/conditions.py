@@ -5,18 +5,20 @@ condition is the norm bound
 
     sum_j || c_j(eps) ||_s < 1,    s = max(1, r / d),
 
-with d the power of the volatility state, together with positivity of the
-g_i, c_j transforms. For the exponential group the bound is
+with d the power of the volatility state, together with positivity (A) of
+the g_i, c_j transforms. For the exponential group the bound is
 sum_j |c_j| < 1 (the c_j are the constant beta_j) plus finiteness of
-E[exp(4 r sum_i g_i(eps)^2)]. ARMA causality requires every root of the
-autoregressive polynomial to lie strictly outside the unit circle.
+E[exp(4 r sum_i g_i(eps)^2)]; its state is log sigma^2, which needs no
+positivity, so there A is reported but does not gate a run. ARMA causality
+requires every root of the autoregressive polynomial to lie strictly outside
+the unit circle.
 
-The quadrature oracle (``InnovationDist.expect``, through which every
-integral here goes) is authoritative; closed-form table rows are convenience
-paths cross-checked against it. Exponential-moment finiteness is only
-semi-decidable numerically: it is classified by truncated quadrature plus a
-tail-growth probe, and comes back inconclusive when a piece of the
-quadrature misses its accuracy.
+The quadrature oracle (``InnovationDist.expect``, a double-exponential rule
+through which every integral here goes) is authoritative; closed-form table
+rows are convenience paths cross-checked against it. Exponential-moment
+finiteness is only semi-decidable numerically: it is classified by growth
+probes at the origin and in the tails plus truncated quadrature, and comes
+back inconclusive when a piece of the quadrature misses its accuracy.
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ def _report(name, value, threshold, method, direction="below", order=None, note=
 
 
 def moment_functional(dist: InnovationDist, f, s: float) -> float:
-    """E[|f(eps)|^s] by adaptive quadrature (continuous) or enumeration (discrete)."""
+    """E[|f(eps)|^s] by quadrature (continuous) or enumeration (discrete); f is vectorised."""
     if s < 1:
         raise ParameterError(f"norm order s must be >= 1, got {s}")
-    return dist.expect(lambda x: float(np.abs(f(x))) ** s)
+    return dist.expect(lambda x: np.abs(f(x)) ** s)
 
 
 def _norm_sum(dist: InnovationDist, transforms, s: float) -> float:
@@ -141,7 +143,8 @@ def check_positivity(spec: AugGarchSpec) -> ConditionReport:
 
     Named polynomial models satisfy positivity by their parameter
     restrictions; the grid evaluation is still reported as the computed value.
-    Non-strict: a zero minimum satisfies the condition.
+    Non-strict: a zero minimum satisfies the condition. For the exponential
+    group the report is informational: its log state needs no positivity.
     """
     grid = _support_grid(spec.innovation)
     vmin = math.inf
@@ -160,6 +163,7 @@ def check_positivity(spec: AugGarchSpec) -> ConditionReport:
         threshold=0.0,
         method=method,
         direction="above",
+        discrepancy_note="informational: the log state needs no positivity" if spec.is_exponential else None,
     )
 
 
@@ -203,35 +207,48 @@ def check_polynomial_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
 def _exp_moment_class(spec: AugGarchSpec, r: int) -> tuple[str, float]:
     """Classify E[exp(4 r sum_i g_i(eps)^2)] as finite / divergent / inconclusive.
 
-    Discrete laws are enumerated exactly and compact supports integrate over
-    the support; unbounded supports combine truncated quadrature (the origin
-    shell |eps| < 1e-8, of negligible probability mass, is excluded because
-    log transforms are singular there) with a growth probe of
-    4 r sum g_i^2 + log pdf at increasing |eps|. Every piece goes through
+    Discrete laws are enumerated exactly. A continuous law is first probed at
+    the origin with rho = 4 r sum g_i^2 + log pdf + log|eps|, the log of |eps|
+    times the integrand, at |eps| = 1e-2, 1e-4, 1e-6, 1e-8. The integral
+    diverges at 0 if rho rises toward 0, or if it bends upward steadily in
+    log|eps|: growth quadratic in log|eps| overtakes the log|eps| of the
+    measure at some smaller |eps|, below 1e-8 for a small alpha. This is
+    mgarch, whose g_i carry log eps^2, under any law with a positive density
+    at 0. Compact supports then integrate over the support; unbounded
+    supports combine truncated quadrature (the origin shell |eps| < 1e-8, of
+    negligible probability mass, is excluded because log transforms are
+    singular there) with a growth probe of 4 r sum g_i^2 + log pdf at
+    increasing |eps|. Every piece goes through
     ``InnovationDist.expect``: a piece that misses its accuracy is
     inconclusive, and an infinite integral or error estimate is divergent.
     """
     dist = spec.innovation
     g_list = spec.g_transforms()
 
-    def integrand_exponent(x: float) -> float:
-        return 4.0 * r * sum(float(g(x)) ** 2 for g in g_list)
+    def integrand_exponent(x):
+        return 4.0 * r * sum(np.square(g(x)) for g in g_list)
 
     if dist.is_discrete:
-        return "finite", dist.expect(lambda x: math.exp(integrand_exponent(x)))
+        return "finite", dist.expect(lambda x: np.exp(integrand_exponent(x)))
+
+    def growth(x):  # the larger of 4 r sum g_i^2 + log pdf at x and -x
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.maximum(
+                integrand_exponent(x) + np.log(dist.pdf(x)), integrand_exponent(-x) + np.log(dist.pdf(-x))
+            )
+
+    origin = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    rho = growth(origin) + np.log(origin)
+    bend = np.diff(rho, 2)  # equal steps in log|eps|: a steady bend is quadratic growth
+    if rho[-1] > rho[-2] or (bend[0] > 1e-9 and bend[-1] > 0.5 * bend[0]):
+        return "divergent", math.inf
 
     lo, hi = dist.support()
     if math.isfinite(lo) and math.isfinite(hi):
         tail_ok = True
     else:
-        probes = [8.0, 16.0, 32.0, 64.0]
-        tau = []
-        for x in probes:
-            with np.errstate(divide="ignore"):
-                lp_pos = float(np.log(dist.pdf(x)))
-                lp_neg = float(np.log(dist.pdf(-x)))
-            tau.append(max(integrand_exponent(x) + lp_pos, integrand_exponent(-x) + lp_neg))
-        decreasing = all(b < a for a, b in zip(tau, tau[1:]))
+        tau = growth(np.array([8.0, 16.0, 32.0, 64.0]))
+        decreasing = bool(np.all(np.diff(tau) < 0.0))
         if decreasing and tau[-1] < -30.0:
             tail_ok = True
         elif tau[-1] > tau[-2]:
@@ -246,7 +263,7 @@ def _exp_moment_class(spec: AugGarchSpec, r: int) -> tuple[str, float]:
     if not math.isfinite(hi):  # add the analytic-decay tails by quadrature
         pieces += [(cut, math.inf), (-math.inf, lo_cut)]
     try:
-        total = sum(dist.expect(lambda x: math.exp(min(integrand_exponent(x), 700.0)), a, b) for a, b in pieces)
+        total = sum(dist.expect(lambda x: np.exp(np.minimum(integrand_exponent(x), 700.0)), a, b) for a, b in pieces)
     except QuadratureError as exc:
         return ("divergent", math.inf) if math.isinf(exc.achieved_rel_tol) else ("inconclusive", math.nan)
     except RefusalError:  # the Student t tail-power probe assumes polynomial growth
@@ -272,7 +289,7 @@ def check_exponential_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
     if verdict == "finite":
         extra = f"exponential g-moment finite (truncated quadrature value {value:.6g})"
     elif verdict == "divergent":
-        extra = "exponential g-moment divergent (tail growth test)"
+        extra = "exponential g-moment divergent"
         ok = False
     else:
         extra = "exponential g-moment inconclusive"
@@ -413,16 +430,23 @@ def check_spec(spec: ProcessSpec, r: int) -> list[ConditionReport]:
 _GATING = {"causality", "P_s", "L_r", "A", "garch_stationarity"}
 
 
+def _gates(spec: ProcessSpec, rep: ConditionReport) -> bool:
+    """Whether ``rep`` gates a run of ``spec``: positivity (A) only in the polynomial group."""
+    if rep.condition_name == "A" and spec.is_exponential:
+        return False
+    return rep.condition_name in _GATING
+
+
 def approve(spec: ProcessSpec, r: int) -> tuple[bool, list[ConditionReport]]:
     """Whether the limit theory's checkable preconditions hold for (spec, r)."""
     reports = check_spec(spec, r)
-    ok = all(rep.satisfied for rep in reports if rep.condition_name in _GATING)
+    ok = all(rep.satisfied for rep in reports if _gates(spec, rep))
     return ok, reports
 
 
-def refusal(reports: list[ConditionReport]) -> RefusalError:
-    """The refusal of a run whose ``approve`` failed, citing every unsatisfied report."""
-    failed = [rep for rep in reports if not rep.satisfied]
+def refusal(spec: ProcessSpec, reports: list[ConditionReport]) -> RefusalError:
+    """The refusal of a run of ``spec`` whose ``approve`` failed, citing every unsatisfied report that gates it."""
+    failed = [rep for rep in reports if not rep.satisfied and _gates(spec, rep)]
     return RefusalError(
         "conditions fail: "
         + "; ".join(

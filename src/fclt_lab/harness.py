@@ -175,7 +175,7 @@ class DecayTable:
 def _refuse_if_inadmissible(cfg: ExperimentConfig, require=("q_true", "m_true"), need_density: bool = True):
     ok, reports = approve(cfg.spec, cfg.r)
     if not ok:
-        raise refusal(reports)
+        raise refusal(cfg.spec, reports)
     if cfg.truth is None:
         raise RefusalError("experiment refused: no truth values supplied")
     cfg.truth.require(*require)

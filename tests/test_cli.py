@@ -419,3 +419,30 @@ def test_mc_rademacher_pilot_refuses_without_a_density(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("refused:")
     assert "f_at_q" in captured.err
+
+
+def _exponential_bahadur_config(tmp_path, spec):
+    cfg = {"experiment": "bahadur", "spec": spec, "p": 0.5, "r": 1, "reps": 16, "seed": 3,
+           "n_ladder": [200, 400], "pilot": {"n": 20_000, "seed": 2}}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return str(cfg_path)
+
+
+def test_mc_egarch_runs_although_a_transform_goes_negative(tmp_path, capsys):
+    # log sigma^2 needs no positivity: A (computed -0.18) is reported, not gating
+    spec = {"model": "egarch", "p": 1, "q": 1, "omega": -0.1, "alpha": [0.1], "beta": [0.9], "gamma": [-0.05],
+            "innovation": {"kind": "standard_normal"}}
+    out = tmp_path / "rep.json"
+    assert main(["mc", "--config", _exponential_bahadur_config(tmp_path, spec), "--out", str(out),
+                 "--threads", "1"]) == 0
+    assert json.loads(out.read_text())["report"]["columns"] == ["n", "median", "p90", "std", "se"]
+
+
+def test_mc_mgarch_refusal_names_the_exponential_moment_not_positivity(tmp_path, capsys):
+    spec = {"model": "mgarch", "p": 1, "q": 1, "omega": 0.1, "alpha": [0.05], "beta": [0.5],
+            "innovation": {"kind": "standard_normal"}}
+    assert main(["mc", "--config", _exponential_bahadur_config(tmp_path, spec), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refused: conditions fail: L_r computed=0.5 ")
+    assert "A computed" not in err

@@ -5,6 +5,7 @@ import pytest
 
 from fclt_lab.arma import ArmaSpec
 from fclt_lab.conditions import (
+    approve,
     check_causality,
     check_exponential_condition,
     check_garch_stationarity,
@@ -142,26 +143,50 @@ def test_mgarch_boundary_beta():
     assert "boundary" in rep.discrepancy_note
 
 
-def test_mgarch_small_alpha_exponential_moment_finite():
-    spec = AugGarchSpec(model="mgarch", p=1, q=1, omega=0.1, alpha=(0.05,), beta=(0.5,))
-    rep = check_exponential_condition(spec, 1)
-    assert rep.satisfied
-    assert "finite" in rep.discrepancy_note
-
-
 @pytest.mark.parametrize(
     "omega, alpha, dist, r",
-    [(0.1, 0.05, NORMAL, 2), (-0.5, 0.15, InnovationDist("student_t", dof=15.0), 3)],
-    ids=["normal", "student_t"],
+    [
+        (0.1, 0.05, NORMAL, 1),
+        (0.1, 0.05, NORMAL, 2),
+        (-0.5, 0.15, InnovationDist("student_t", dof=15.0), 3),
+        (0.1, 0.01, NORMAL, 2),
+        (0.5, 0.01, InnovationDist("uniform"), 1),
+    ],
+    ids=["small_alpha", "normal", "student_t", "tiny_alpha", "uniform"],
 )
-def test_mgarch_exponential_moment_without_accuracy_is_inconclusive(omega, alpha, dist, r):
-    # the integrand exp(4 r g^2), g = omega + alpha log(eps^2), is too steep
-    # beside the excluded origin shell for QUADPACK: with its failure flag
-    # discarded these read "finite (1.09389)" and "finite (3.62808e+179)";
-    # under the Student t law the failed piece's tail-power probe, which
-    # assumes polynomial growth, must not turn into a refusal
+def test_mgarch_exponential_moment_diverges_at_the_origin(omega, alpha, dist, r):
+    # exp(4 r g^2), g = omega + alpha log(eps^2), grows like exp(c log^2|eps|)
+    # at 0, which no density there can carry; the excluded shell |eps| < 1e-8
+    # keeps the truncated integral finite, so only the origin probe sees it.
+    # At alpha = 0.01 rho starts to rise only near |eps| = 1e-70 (tiny_alpha)
+    # and 1e-146 (uniform); its steady bend between 1e-2 and 1e-8 shows the
+    # divergence. Under the Student t law the verdict must not be a refusal.
     spec = AugGarchSpec(model="mgarch", p=1, q=1, omega=omega, alpha=(alpha,), beta=(0.5,), innovation=dist)
     rep = check_exponential_condition(spec, r)
+    assert not rep.satisfied
+    assert rep.discrepancy_note == "exponential g-moment divergent"
+
+
+def test_mgarch_without_alpha_exponential_moment_finite():
+    # g = omega is constant: E exp(4 r omega^2) less the excluded shell's mass
+    spec = AugGarchSpec(model="mgarch", p=1, q=1, omega=0.1, alpha=(0.0,), beta=(0.5,))
+    rep = check_exponential_condition(spec, 2)
+    assert rep.satisfied
+    value = float(rep.discrepancy_note.split("value ")[1].rstrip(")"))
+    assert value == pytest.approx(math.exp(0.08), rel=1e-5)
+
+
+def test_exponential_moment_without_accuracy_is_inconclusive():
+    # exp(4 g^2) = |eps - 0.5|^-1.5 is not integrable at 0.5, inside a
+    # quadrature piece where neither growth probe looks: the rule misses its
+    # accuracy and the verdict says so
+    spec = AugGarchSpec(
+        model="generic",
+        g_funcs=(lambda e: np.sqrt(0.375 * np.abs(np.log(np.abs(e - 0.5)))),),
+        c_funcs=(lambda e: np.full(np.shape(e), 0.5),),
+        lam=("log",),
+    )
+    rep = check_exponential_condition(spec, 1)
     assert not rep.satisfied
     assert rep.discrepancy_note == "exponential g-moment inconclusive"
 
@@ -174,6 +199,17 @@ def test_mgarch_student_tail_divergent():
     rep = check_exponential_condition(spec, 1)
     assert not rep.satisfied
     assert "divergent" in rep.discrepancy_note
+
+
+def test_egarch_student_tail_divergent():
+    # g is linear in |eps|: exp(c eps^2) outgrows a polynomial tail, bounded at the origin
+    spec = AugGarchSpec(
+        model="egarch", p=1, q=1, omega=0.0, alpha=(0.1,), beta=(0.5,), gamma=(0.0,),
+        innovation=InnovationDist("student_t", dof=8.0),
+    )
+    rep = check_exponential_condition(spec, 1)
+    assert not rep.satisfied
+    assert rep.discrepancy_note == "exponential g-moment divergent"
 
 
 def test_exponential_checker_rejects_polynomial_group():
@@ -256,3 +292,17 @@ def test_check_spec_lists_reports_and_gating():
     assert names == ["A", "P_s", "garch_stationarity", "table2_row"]
     reports = check_spec(ArmaSpec(phi=(-0.5,)), 1)
     assert [r.condition_name for r in reports] == ["causality"]
+
+
+def test_positivity_gates_the_polynomial_group_only():
+    egarch = AugGarchSpec(model="egarch", p=1, q=1, omega=-0.1, alpha=(0.1,), beta=(0.9,), gamma=(-0.05,))
+    ok, reports = approve(egarch, 1)
+    assert ok
+    positivity = reports[0]
+    assert positivity.condition_name == "A" and not positivity.satisfied  # g goes negative: -0.180
+    assert positivity.discrepancy_note == "informational: the log state needs no positivity"
+    generic = AugGarchSpec(
+        model="generic", g_funcs=(lambda e: e,), c_funcs=(lambda e: np.full(np.shape(e), 0.5),), lam=("power", 1.0)
+    )
+    ok, reports = approve(generic, 1)
+    assert not ok and not reports[0].satisfied and reports[0].discrepancy_note is None

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from fclt_lab.asymptotics import iid_gamma
 from fclt_lab.errors import NumericsError, ParameterError, QuadratureError, RefusalError
-from fclt_lab.innovations import InnovationDist
+from fclt_lab.innovations import InnovationDist, _de_piece
 from fclt_lab.processes import IidSpec
 from fclt_lab.rng import stream_generator
 from fclt_lab.truth import closed_form_truth
@@ -100,8 +100,8 @@ def test_ppf_cdf_roundtrip():
 def test_student_sixth_moment_and_cancelling_halves():
     dist = InnovationDist("student_t", dof=15.0)
     assert dist.expect(lambda x: x**6) == pytest.approx(dist.even_moment(3), rel=1e-8)
-    # odd integrand: the halves cancel to 0, judged against their size
-    assert dist.expect(lambda x: x * np.abs(x) ** 3) == pytest.approx(0.0, abs=1e-12)
+    # odd integrand: the mirrored halves cancel exactly, and pass judged against their size
+    assert dist.expect(lambda x: x * np.abs(x) ** 3) == 0.0
     gamma = iid_gamma(dist, 0.5, 3)
     m3 = dist.expect(lambda x: np.abs(x) ** 3)
     assert gamma.g22 == pytest.approx(dist.even_moment(3) - m3 * m3, rel=1e-8)
@@ -127,10 +127,9 @@ def test_ppf_refuses_a_quantile_out_of_double_range():
         closed_form_truth(IidSpec(t3), 1e-260, 2)
 
 
-def _former_partial_expect(dist, h, upper):
-    """E[h(X) 1(X <= upper)] as computed before ``expect`` took bounds: its own
-    split at 0, pdf weighting and Rademacher enumeration, QUADPACK at the
-    settings of ``expect``."""
+def _quadpack_expect(dist, h, upper):
+    """E[h(X) 1(X <= upper)] by QUADPACK, as ``expect`` computed it before the
+    double-exponential rule: split at 0, pdf weighting, Rademacher atoms enumerated."""
     if dist.is_discrete:
         return 0.5 * sum(float(h(x)) for x in (-1.0, 1.0) if x <= upper)
     lo, hi = dist.support()
@@ -157,13 +156,40 @@ PARTIAL_LAWS = ALL_DISTS + [InnovationDist("student_t", dof=8.0)]
 
 @pytest.mark.parametrize("dist", PARTIAL_LAWS, ids=lambda d: f"{d.kind}{d.dof or ''}")
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_expect_below_q_equals_the_former_partial_expect_bit_for_bit(dist, r):
+def test_expect_below_q_agrees_with_quadpack(dist, r):
     lo, hi = dist.support()
     # at, below and above the support, at 0, and inside
     qs = [lo, hi, lo - 1.0, hi + 1.0, -50.0, 50.0, 0.0, -1.0, 1.0, -0.3, 0.7, 1e-9]
-    for h in (lambda x: x, lambda x: np.abs(x) ** r):
+    integrands = (
+        lambda x: x,
+        lambda x: np.abs(x) ** r,
+        lambda x: x * np.abs(x) ** r,
+        lambda x: (0.1 * x * x + 0.8) ** 2,  # a GARCH c_1(eps)^s at s = 2
+        lambda x: (0.1 + 0.05 * np.log(np.square(x))) ** 2,  # an mgarch g_1(eps)^2: log^2 singular at 0
+    )
+    for i, h in enumerate(integrands):
         for q in qs:
-            assert float(dist.expect(h, hi=q)).hex() == float(_former_partial_expect(dist, h, q)).hex(), q
+            got, ref = dist.expect(h, hi=q), _quadpack_expect(dist, h, q)
+            assert abs(got - ref) <= max(1e-10 * abs(ref), 1e-13), (i, q, got, ref)
+
+
+def test_expect_refuses_an_infinite_moment_and_a_non_integrable_end():
+    with pytest.warns(UserWarning):
+        t3 = InnovationDist("student_t", dof=3.0)
+    with pytest.raises(RefusalError, match=r"E\|eps\|\^3 is infinite under student_t\(dof=3\)"):
+        t3.expect(lambda x: np.abs(x) ** 3)
+    with pytest.raises(QuadratureError):
+        InnovationDist().expect(lambda x: 1.0 / np.abs(x), lo=0.0, hi=1.0)
+
+
+def test_end_terms_bound_the_error_of_a_piece():
+    # exp-sinh maps 1/(x sqrt(1 + (2 log x / pi)^2)), which is like 1/(x |log x|)
+    # and diverges at both ends of (0, inf), to the constant pi/2 in t: every
+    # level sums to about the window's 5 pi, and the end terms at t = +-5 give
+    # the error its size
+    val, err = _de_piece(lambda x: 1.0 / (x * np.sqrt(1.0 + (2.0 * np.log(x) / math.pi) ** 2)), 0.0, math.inf)
+    assert val == pytest.approx(5.0 * math.pi, rel=1e-3)
+    assert err == pytest.approx(math.pi)
 
 
 def test_expect_integrates_over_the_support_within_lo_hi():

@@ -2,11 +2,13 @@
 imports functions and reads module constants when a workload is built, so a
 rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
-never uses, so dead imports cannot pile up unseen. Importing the package loads
-neither ``scipy.stats`` nor ``scipy.signal`` (together about a second of start-up);
-only an ARMA filter loads ``scipy.signal``. Only ``innovations.py`` names
-``scipy.integrate`` or ``quad``: every integral against the innovation law goes
-through ``InnovationDist.expect``."""
+never uses, so dead imports cannot pile up unseen. Importing the package, a
+GARCH ``check`` plus ``mc`` and a GARCH ``ned-scan`` load none of
+``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and ``scipy.optimize``
+(together over a second of start-up); only an ARMA filter loads
+``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``:
+every integral against the innovation law goes through
+``InnovationDist.expect``, a double-exponential rule in numpy."""
 
 import ast
 import json
@@ -63,11 +65,11 @@ def test_library_modules_use_every_import():
 _QUADRATURE = re.compile(r"scipy\.integrate|from\s+scipy\s+import[^\n]*\bintegrate\b|\bquad\b")
 
 
-def test_only_innovations_names_the_integrator():
+def test_no_module_names_scipy_integrate():
     src = os.path.join(ROOT, "src", "fclt_lab")
     found = {}
     for name in sorted(os.listdir(src)):
-        if name.endswith(".py") and name != "innovations.py":
+        if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 lines = [i for i, line in enumerate(fh, 1) if _QUADRATURE.search(line)]
             if lines:
@@ -76,8 +78,10 @@ def test_only_innovations_names_the_integrator():
 
 
 def _heavy_scipy_after(code: str, cwd) -> list[str]:
-    """Which of scipy.stats and scipy.signal a fresh interpreter holds after running ``code``."""
-    script = code + "\nimport sys\nprint(*(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+    """Which of scipy.stats, scipy.signal, scipy.integrate and scipy.optimize a fresh
+    interpreter holds after running ``code``."""
+    heavy = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize")
+    script = code + f"\nimport sys\nprint(*(m for m in {heavy!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=300)
@@ -103,6 +107,20 @@ def test_garch_check_and_clt_run_load_neither_scipy_stats_nor_signal(tmp_path):
     )
     assert _heavy_scipy_after(code, tmp_path) == []
     assert json.loads((tmp_path / "mc.json").read_text())["report"]["used"] == 8
+
+
+def test_garch_ned_scan_loads_no_heavy_scipy(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"model": "garch", "p": 1, "q": 1, "omega": 0.1, "alpha": [0.1], "beta": [0.8],
+         "innovation": {"kind": "standard_normal"}}
+    ))
+    code = (
+        "from fclt_lab.cli import main\n"
+        "assert main(['ned-scan', '--spec', 'spec.json', '--functional', 'abs_pow:2', '--kmax', '3',"
+        " '--samples', '32', '--redraws', '4', '--out', 'ned.csv']) == 0"
+    )
+    assert _heavy_scipy_after(code, tmp_path) == []
+    assert (tmp_path / "ned.csv").exists()
 
 
 def test_arma_simulate_loads_scipy_signal(tmp_path):
