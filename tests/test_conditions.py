@@ -167,6 +167,19 @@ def test_mgarch_exponential_moment_diverges_at_the_origin(omega, alpha, dist, r)
     assert rep.discrepancy_note == "exponential g-moment divergent"
 
 
+def test_mgarch_small_alpha_exponential_moment_finite():
+    # Rademacher puts no mass near the origin: log eps^2 = 0, so g = omega and
+    # the moment is exp(4 omega^2) exactly, enumerated without quadrature
+    spec = AugGarchSpec(
+        model="mgarch", p=1, q=1, omega=0.1, alpha=(0.05,), beta=(0.5,), innovation=InnovationDist("rademacher")
+    )
+    rep = check_exponential_condition(spec, 1)
+    assert rep.satisfied
+    assert "finite" in rep.discrepancy_note
+    value = float(rep.discrepancy_note.split("value ")[1].rstrip(")"))
+    assert value == pytest.approx(math.exp(0.04), rel=1e-5)
+
+
 def test_mgarch_without_alpha_exponential_moment_finite():
     # g = omega is constant: E exp(4 r omega^2) less the excluded shell's mass
     spec = AugGarchSpec(model="mgarch", p=1, q=1, omega=0.1, alpha=(0.0,), beta=(0.5,))

@@ -173,6 +173,18 @@ def test_expect_below_q_agrees_with_quadpack(dist, r):
             assert abs(got - ref) <= max(1e-10 * abs(ref), 1e-13), (i, q, got, ref)
 
 
+@pytest.mark.parametrize("dist", [InnovationDist("rademacher")], ids=lambda d: d.kind)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_expect_below_q_equals_the_former_partial_expect_bit_for_bit(dist, r):
+    # a discrete law never reaches the quadrature rule: its atoms are enumerated
+    # as before, so its partial expectations keep their bits
+    lo, hi = dist.support()
+    qs = [lo, hi, lo - 1.0, hi + 1.0, -50.0, 50.0, 0.0, -0.3, 0.7, 1e-9]
+    for h in (lambda x: x, lambda x: np.abs(x) ** r):
+        for q in qs:
+            assert float(dist.expect(h, hi=q)).hex() == float(_quadpack_expect(dist, h, q)).hex(), q
+
+
 def test_expect_refuses_an_infinite_moment_and_a_non_integrable_end():
     with pytest.warns(UserWarning):
         t3 = InnovationDist("student_t", dof=3.0)

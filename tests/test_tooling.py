@@ -6,9 +6,9 @@ never uses, so dead imports cannot pile up unseen. Importing the package, a
 GARCH ``check`` plus ``mc`` and a GARCH ``ned-scan`` load none of
 ``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and ``scipy.optimize``
 (together over a second of start-up); only an ARMA filter loads
-``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``:
-every integral against the innovation law goes through
-``InnovationDist.expect``, a double-exponential rule in numpy."""
+``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``,
+and only ``innovations.py`` names its double-exponential rule: every integral
+against the innovation law goes through ``InnovationDist.expect``."""
 
 import ast
 import json
@@ -60,6 +60,21 @@ def test_library_modules_use_every_import():
             if found:
                 unused[name] = found
     assert not unused
+
+
+_INTEGRATOR = re.compile(r"\b_(?:integrate|de_piece|de_nodes)\b")
+
+
+def test_only_innovations_names_the_integrator():
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "innovations.py":
+            with open(os.path.join(src, name)) as fh:
+                lines = [i for i, line in enumerate(fh, 1) if _INTEGRATOR.search(line)]
+            if lines:
+                found[name] = lines
+    assert not found
 
 
 _QUADRATURE = re.compile(r"scipy\.integrate|from\s+scipy\s+import[^\n]*\bintegrate\b|\bquad\b")
