@@ -16,8 +16,10 @@ discarded; geometric forgetting makes the initialization bias negligible
 relative to Monte Carlo error.
 
 The recursion runs over time tiles of about 1 MiB of state (the width is set by
-the batch width alone). Each evaluates the transforms on a time-major copy of its
-innovations and pre-window, updates the state rows in place in the order
+the batch width alone; a batch of more than 8192 rows, where the 16-step minimum
+tile would outgrow that, runs in row blocks of 8192). Each evaluates the
+transforms on a time-major copy of its innovations and pre-window, updates the
+state rows in place in the order
 ((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ... and carries its last pre-window
 states on: the bits do not depend on the tiling; memory is output + O(batch x tile),
 and the output may overwrite the innovations.
@@ -51,6 +53,10 @@ MODELS = POLYNOMIAL_MODELS | EXPONENTIAL_MODELS | {"generic"}
 # models whose gamma parameters obey the -1 <= gamma <= 1 restriction
 # (gjr uses the starred parametrization, which is not bounded this way)
 _GAMMA_BOUNDED = frozenset({"apgarch", "agarch", "tgarch", "tsgarch", "vgarch", "ngarch", "egarch"})
+
+# a tile is at least 16 steps, so a batch wider than 2^20 // (8 * 16) rows runs in
+# row blocks of that many to keep each tile near 1 MiB of state
+_MAX_BLOCK_ROWS = 2**20 // (8 * 16)
 
 
 def _pow_even(z, exponent: float):
@@ -280,9 +286,33 @@ def garch_values_from_innovations(
     rows = eps.reshape(-1, T)
     B = rows.shape[0]
     values = rows[:, : T - m] if overwrite_input else np.empty((B, T - m))
+    states = np.full((B, m), spec.state_fixed_point()) if state is None else np.reshape(state, (B, m))
+    final, diverged, first_bad = np.empty((B, m)), np.zeros(B, dtype=bool), None
+    for r0 in range(0, B, _MAX_BLOCK_ROWS):  # rows are independent: the bits do not depend on the blocks
+        block = slice(r0, r0 + _MAX_BLOCK_ROWS)
+        try:
+            final[block], diverged[block] = _recursion_rows(
+                spec, g_list, c_list, rows[block], values[block], states[block], strict
+            )
+        except DivergenceError as err:  # report the first offending step over all blocks
+            if first_bad is None or err.step < first_bad.step:
+                first_bad = err
+    if first_bad is not None:
+        raise first_bad
+    values[diverged] = np.nan
+    values = values.reshape(eps.shape[:-1] + (T - m,))
+    return (values, final.reshape(eps.shape[:-1] + (m,))) if final_state else values
+
+
+def _recursion_rows(spec, g_list, c_list, rows, values, states, strict):
+    """The tiled recursion over (B, T) innovation rows into the (B, T - m) ``values``,
+    from the (B, m) pre-window ``states``; returns the (B, m) final states and the
+    rows that diverged (with ``strict``, DivergenceError at the first bad step)."""
+    m = states.shape[1]
+    B, T = rows.shape
     width = min(T - m, max(16, 2**20 // (8 * max(B, 1))))
     lam = np.empty((m + width, B))  # m carried states, then a tile
-    lam[:m] = spec.state_fixed_point() if state is None else np.reshape(state, (B, m)).T
+    lam[:m] = states.T
     lam_rows, tmp, diverged = list(lam), np.empty(B), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(m, T, width):
@@ -311,6 +341,4 @@ def garch_values_from_innovations(
                     raise DivergenceError(t_first, "non-finite or non-positive volatility state")
                 diverged |= bad.any(axis=0)
             lam[:m] = lam[w : w + m]
-        values[diverged] = np.nan
-    values = values.reshape(eps.shape[:-1] + (T - m,))
-    return (values, lam[:m].T.reshape(eps.shape[:-1] + (m,))) if final_state else values
+    return lam[:m].T, diverged

@@ -16,6 +16,13 @@ exp-sinh on half-lines; Takahasi & Mori 1974, Bailey, Jeyabalan & Li 2005)
 over the support intersected with [lo, hi], split at the origin so kinks and
 log singularities sit at an end of a piece, with one accuracy policy
 (``QUAD_REL_TOL``); a discrete law enumerates its atoms.
+
+The normal cdf and quantile are computed in numpy from ``math.erf`` and
+``math.erfc`` (the quantile by two Halley steps from a series or rational
+start, within a few ulp of the exact value), so a normal, uniform or
+Rademacher law needs no scipy. The Student t cdf, quantile and density come
+from ``scipy.special``, imported on their first call, with the bits of
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericsError, ParameterError, QuadratureError, RefusalError
 
@@ -35,6 +41,15 @@ KINDS = ("standard_normal", "student_t", "rademacher", "uniform")
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erf = np.vectorize(math.erf, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
+# below this level the normal quantile's residual is taken in the log domain, where
+# Phi(x) = phi(x) / |x| * sum_k (-1)^k (2k - 1)!! / x^(2k); at |x| >= 37 eight terms
+# leave less than 1e-20
+_NORMAL_DEEP_TAIL = 1e-300
+_MILLS_TERMS = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(1, 9)]
 QUAD_REL_TOL = 1e-8
 # the double-exponential rule: trapezoid sums in t over [-5, 5] with steps 1, 1/2,
 # ..., 2^-8, stopping once two levels agree to 1e-10 relative or 1e-13 absolute;
@@ -116,8 +131,10 @@ class InnovationDist:
 
     def cdf(self, x):
         if self.kind == "standard_normal":
-            return special.ndtr(x)
+            return (0.5 * _erfc(np.asarray(x, dtype=float) * -_SQRT1_2))[()]
         if self.kind == "student_t":
+            from scipy import special
+
             return special.stdtr(self.dof, np.asarray(x) / self._t_scale)
         if self.kind == "uniform":
             return np.clip((np.asarray(x, dtype=float) + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
@@ -129,8 +146,10 @@ class InnovationDist:
         finite quantile in double precision (``stdtrit`` returns +inf for
         u below about 1e-250 at dof 3)."""
         if self.kind == "standard_normal":
-            q = special.ndtri(u)
+            q = _normal_ppf(u)
         elif self.kind == "student_t":
+            from scipy import special
+
             q = special.stdtrit(self.dof, u) * self._t_scale
         elif self.kind == "uniform":
             q = -_SQRT3 + 2.0 * _SQRT3 * np.asarray(u, dtype=float)
@@ -208,11 +227,63 @@ class InnovationDist:
 def _t_pdf(x, dof):
     """Unit-scale Student t density in the log form ``scipy.stats.t.pdf`` uses,
     so the bits match it."""
+    from scipy import special
+
     return np.exp(
         np.log(special.poch(0.5 * dof, 0.5))
         - 0.5 * (np.log(dof) + np.log(np.pi))
         - (dof + 1) / 2 * np.log1p(x * x / dof)
     )
+
+
+def _normal_ppf(u):
+    """Standard normal quantile: NaN outside [0, 1], -inf at 0 and +inf at 1.
+
+    The lower half is solved and mirrored, so ppf(1 - u) = -ppf(u) wherever
+    1 - u is exact (every u >= 1/2).
+    """
+    u = np.asarray(u, dtype=float)
+    p = np.minimum(u, 1.0 - u)
+    x = np.where(p == 0.0, -math.inf, math.nan)
+    inner = p > 0.0
+    x[inner] = _normal_lower_quantile(p[inner])
+    return np.where(u > 0.5, -x, x)[()]
+
+
+def _normal_lower_quantile(p: np.ndarray) -> np.ndarray:
+    """x <= 0 with Phi(x) = p for 0 < p <= 1/2.
+
+    Starts from the quantile's odd Taylor series about 1/2 where p >= 1/4 and
+    from the rational tail formula 26.2.23 of Abramowitz & Stegun (error below
+    4.5e-4) elsewhere, then takes two Halley steps on Phi(x) - p, whose
+    residual comes from ``erf`` at the centre (p - 1/2 is exact there) and
+    from the lower-tail ``erfc`` in the tail. Below ``_NORMAL_DEEP_TAIL``,
+    where erfc leaves the normal range, the steps are Newton steps on
+    log Phi(x) - log p with Phi from its asymptotic series. The result is
+    within a few ulp of the exact quantile of u, subnormal u included.
+    """
+    x = np.empty_like(p)
+    mid, deep = p >= 0.25, p < _NORMAL_DEEP_TAIL
+    tail = ~mid & ~deep
+    s = _SQRT_2PI * (p[mid] - 0.5)
+    s2 = s * s
+    x[mid] = s * (1.0 + s2 * (1.0 / 6.0 + s2 * (7.0 / 120.0 + s2 * (127.0 / 5040.0))))
+    t = np.sqrt(-2.0 * np.log(p[~mid]))
+    x[~mid] = (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))) - t
+    shallow = ~deep
+    for _ in range(2):
+        e = np.empty(np.count_nonzero(shallow))
+        e[mid[shallow]] = 0.5 * _erf(x[mid] * _SQRT1_2) - (p[mid] - 0.5)
+        e[tail[shallow]] = 0.5 * _erfc(x[tail] * -_SQRT1_2) - p[tail]
+        xs = x[shallow]
+        step = e * _SQRT_2PI * np.exp(0.5 * xs * xs)  # (Phi(x) - p) / phi(x)
+        x[shallow] = xs - step / (1.0 + 0.5 * xs * step)
+        xd = x[deep]
+        w = 1.0 / (xd * xd)
+        series = sum(c * w**k for k, c in enumerate(_MILLS_TERMS, start=1))  # |x| Phi(x) / phi(x) - 1
+        log_ratio = -0.5 * xd * xd - np.log(-xd * _SQRT_2PI) + np.log1p(series) - np.log(p[deep])
+        x[deep] = xd + log_ratio * (1.0 + series) / xd
+    return x
 
 
 def _integrate(fn, pdf, a: float, b: float) -> float:

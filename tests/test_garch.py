@@ -248,6 +248,43 @@ def test_kernel_peak_memory_is_output_plus_a_tile():
     assert peak <= 1.25 * values.nbytes + 4 * 2**20
 
 
+# past 2^20 // (8 * 16) = 8192 rows the 16-step minimum tile would outgrow 1 MiB
+WIDE_ROWS, WIDE_STEPS = 65_536, 40
+
+
+def test_wide_batch_peak_memory_is_output_plus_a_few_mib():
+    import tracemalloc
+
+    spec = KERNEL_SPECS["garch"]
+    eps = np.random.default_rng(0).standard_normal((WIDE_ROWS, spec.pre_window + WIDE_STEPS))
+    tracemalloc.start()
+    try:
+        values = garch_values_from_innovations(spec, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 8 * 2**20, (peak - values.nbytes) / 2**20  # 55.6 MiB in one block
+
+
+@pytest.mark.parametrize("name", ["garch", "garch22", "pgarch"])
+def test_wide_batch_rows_equal_narrower_batches(name):
+    spec = KERNEL_SPECS[name]
+    m = spec.pre_window
+    eps = _with_blowups(spec, WIDE_ROWS, WIDE_STEPS, [(100, 30), (60_000, 12)])
+    state = spec.state_fixed_point() * np.random.default_rng(1).uniform(0.5, 1.5, (WIDE_ROWS, m))
+    got, got_state = garch_values_from_innovations(spec, eps, strict=False, state=state, final_state=True)
+    parts = [
+        garch_values_from_innovations(spec, eps[rows], strict=False, state=state[rows], final_state=True)
+        for rows in np.array_split(np.arange(WIDE_ROWS), 23)  # 2850 rows each, blocks not aligned
+    ]
+    assert _same_bits(got, np.concatenate([v for v, _ in parts]))
+    assert _same_bits(got_state, np.concatenate([s for _, s in parts]))
+    assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [100, 60_000]
+    with pytest.raises(DivergenceError) as err:  # the first bad step lies in a later row block
+        garch_values_from_innovations(spec, eps)
+    assert err.value.step == 12
+
+
 # --- the output written over its own innovations -----------------------------------
 
 OVERWRITE_SPECS = {

@@ -220,27 +220,66 @@ def test_far_tail_of_a_finite_moment_weighs_zero():
         assert InnovationDist().expect(lambda x: np.exp(x * x / 4)) == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
 
-# --- scipy.special in place of scipy.stats ------------------------------------------
+# --- the normal law in numpy, the Student t from scipy.special ---------------------
 
 X_GRID = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e6, -1e-300, -0.0, 0.0, 1e-300, 1e6]])
 U_GRID = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 999), [1e-300, 1e-12, 0.5, 1.0 - 1e-12]])
+SUBNORMAL_U = np.array([5e-324, 1e-322, 1e-320, 3e-317, 1e-315, 1e-310, 2.2e-308])
 
 
 def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def test_normal_cdf_ppf_pdf_equal_scipy_stats_bit_for_bit():
+def _ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def test_normal_pdf_equals_scipy_stats_bit_for_bit():
     from scipy import stats
 
     normal = InnovationDist()
-    assert _same_bits(normal.cdf(X_GRID), stats.norm.cdf(X_GRID))
-    assert _same_bits(normal.ppf(U_GRID), stats.norm.ppf(U_GRID))
     assert _same_bits(normal.pdf(X_GRID), stats.norm.pdf(X_GRID))
-    for x, u in zip(X_GRID[::37], U_GRID[::37]):  # the scalar calls quadrature makes
-        assert _same_bits(normal.cdf(float(x)), stats.norm.cdf(float(x)))
-        assert _same_bits(normal.ppf(float(u)), stats.norm.ppf(float(u)))
+    for x in X_GRID[::37]:  # the scalar calls quadrature makes
         assert _same_bits(normal.pdf(float(x)), stats.norm.pdf(float(x)))
+
+
+def test_normal_cdf_is_within_1e_12_relative_of_ndtr():
+    from scipy import special
+
+    normal = InnovationDist()
+    x = np.concatenate([X_GRID, np.linspace(-38.5, 38.5, 7701)])
+    ref = special.ndtr(x)
+    ok = ref >= np.finfo(float).tiny  # where ndtr is a normal float
+    assert np.all(np.abs(normal.cdf(x) - ref)[ok] <= 1e-12 * ref[ok])
+    for xi, ri in zip(x[ok][::97], ref[ok][::97]):
+        got = normal.cdf(float(xi))
+        assert isinstance(got, float) and np.ndim(got) == 0
+        assert abs(got - ri) <= 1e-12 * ri
+
+
+def test_normal_ppf_is_within_8_ulp_of_ndtri():
+    from scipy import special
+
+    normal = InnovationDist()
+    support_grid = np.linspace(1e-6, 1.0 - 1e-6, 4001)  # the positivity check's grid
+    for u in (U_GRID, SUBNORMAL_U, support_grid, np.array([1e-300])):
+        assert _ulps(normal.ppf(u), special.ndtri(u)).max() <= 8.0, u
+    for ui in U_GRID[::37]:
+        got = normal.ppf(float(ui))
+        assert isinstance(got, float) and np.ndim(got) == 0
+        assert _ulps(got, special.ndtri(ui)) <= 8.0
+
+
+def test_normal_ppf_edges_and_mirror():
+    normal = InnovationDist()
+    assert normal.ppf(0.0) == -math.inf and normal.ppf(1.0) == math.inf
+    assert normal.ppf(0.5) == 0.0
+    assert np.isnan(normal.ppf(np.array([-1e-300, -0.5, 1.0 + 1e-15, 2.0, -math.inf, math.inf, math.nan]))).all()
+    u = np.concatenate([U_GRID, SUBNORMAL_U, stream_generator(11).random(10_000)])
+    exact = 1.0 - (1.0 - u) == u  # 1 - u is exact
+    assert exact.sum() > 5_000
+    assert np.array_equal(normal.ppf(1.0 - u[exact]), -normal.ppf(u[exact]))
 
 
 @pytest.mark.parametrize("dof", [2.5, 3.0, 5.0, 8.0, 15.0, 30.0])

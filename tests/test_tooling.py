@@ -2,11 +2,13 @@
 imports functions and reads module constants when a workload is built, so a
 rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
-never uses, so dead imports cannot pile up unseen. Importing the package, a
-GARCH ``check`` plus ``mc`` and a GARCH ``ned-scan`` load none of
-``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and ``scipy.optimize``
-(together over a second of start-up); only an ARMA filter loads
-``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``,
+never uses, so dead imports cannot pile up unseen. No library module imports
+scipy at module level. Importing the package, and a normal-law GARCH ``check``
+plus ``mc``, iid ``simulate`` plus closed-form ``mc`` or GARCH ``ned-scan``,
+load no scipy module at all; a Student t law loads ``scipy.special`` and none
+of ``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and
+``scipy.optimize`` (together over a second of start-up); only an ARMA filter
+loads ``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``,
 and only ``innovations.py`` names its double-exponential rule: every integral
 against the innovation law goes through ``InnovationDist.expect``."""
 
@@ -92,11 +94,12 @@ def test_no_module_names_scipy_integrate():
     assert not found
 
 
-def _heavy_scipy_after(code: str, cwd) -> list[str]:
-    """Which of scipy.stats, scipy.signal, scipy.integrate and scipy.optimize a fresh
-    interpreter holds after running ``code``."""
-    heavy = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize")
-    script = code + f"\nimport sys\nprint(*(m for m in {heavy!r} if m in sys.modules))"
+HEAVY_SCIPY = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize")
+
+
+def _scipy_after(code: str, cwd) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=300)
@@ -104,13 +107,47 @@ def _heavy_scipy_after(code: str, cwd) -> list[str]:
     return done.stdout.splitlines()[-1].split()
 
 
+def _module_level_scipy_imports(source: str) -> list[int]:
+    """Lines of a module that import scipy outside any function body."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    assert _module_level_scipy_imports("import numpy\nif True:\n    from scipy import special\n") == [3]
+    assert _module_level_scipy_imports("def f():\n    import scipy.signal\n") == []
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                lines = _module_level_scipy_imports(fh.read())
+            if lines:
+                found[name] = lines
+    assert not found
+
+
 def test_import_loads_neither_scipy_stats_nor_signal(tmp_path):
-    assert _heavy_scipy_after("import fclt_lab, fclt_lab.cli", tmp_path) == []
+    assert _scipy_after("import fclt_lab, fclt_lab.cli", tmp_path) == []
 
 
-def test_garch_check_and_clt_run_load_neither_scipy_stats_nor_signal(tmp_path):
+def _garch_check_and_clt(tmp_path, innovation: dict) -> list[str]:
+    """The scipy modules left by a GARCH ``check`` and a small ``mc`` clt run."""
     spec = {"model": "garch", "lambda": "power", "delta": None, "p": 1, "q": 1, "omega": 0.1,
-            "alpha": [0.1], "beta": [0.8], "gamma": [], "innovation": {"kind": "student_t", "dof": 8.0}}
+            "alpha": [0.1], "beta": [0.8], "gamma": [], "innovation": innovation}
     cfg = {"experiment": "clt", "spec": spec, "p": 0.5, "r": 2, "n": 300, "reps": 8, "seed": 1,
            "pilot": {"n": 20_000, "seed": 2}, "target": {"g11": 1.6, "g22": 2.0, "g12": 0.0}}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -120,7 +157,32 @@ def test_garch_check_and_clt_run_load_neither_scipy_stats_nor_signal(tmp_path):
         "assert main(['check', '--spec', 'spec.json', '--r', '2', '--out', 'check.json']) == 0\n"
         "assert main(['mc', '--config', 'cfg.json', '--out', 'mc.json', '--threads', '1']) == 0"
     )
-    assert _heavy_scipy_after(code, tmp_path) == []
+    loaded = _scipy_after(code, tmp_path)
+    assert json.loads((tmp_path / "mc.json").read_text())["report"]["used"] == 8
+    return loaded
+
+
+def test_garch_check_and_clt_run_load_neither_scipy_stats_nor_signal(tmp_path):
+    assert _garch_check_and_clt(tmp_path, {"kind": "standard_normal"}) == []
+
+
+def test_student_t_garch_check_and_clt_run_load_scipy_special_only(tmp_path):
+    loaded = _garch_check_and_clt(tmp_path, {"kind": "student_t", "dof": 8.0})
+    assert "scipy.special" in loaded
+    assert not set(HEAVY_SCIPY) & set(loaded)
+
+
+def test_iid_simulate_and_closed_form_clt_load_no_scipy(tmp_path):
+    spec = {"model": "iid", "innovation": {"kind": "standard_normal"}}
+    cfg = {"experiment": "clt", "spec": spec, "p": 0.3, "r": 2, "n": 200, "reps": 8, "seed": 1}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = (
+        "from fclt_lab.cli import main\n"
+        "assert main(['simulate', '--spec', 'spec.json', '--n', '50', '--out', 'x.csv']) == 0\n"
+        "assert main(['mc', '--config', 'cfg.json', '--out', 'mc.json', '--threads', '1']) == 0"
+    )
+    assert _scipy_after(code, tmp_path) == []
     assert json.loads((tmp_path / "mc.json").read_text())["report"]["used"] == 8
 
 
@@ -134,7 +196,7 @@ def test_garch_ned_scan_loads_no_heavy_scipy(tmp_path):
         "assert main(['ned-scan', '--spec', 'spec.json', '--functional', 'abs_pow:2', '--kmax', '3',"
         " '--samples', '32', '--redraws', '4', '--out', 'ned.csv']) == 0"
     )
-    assert _heavy_scipy_after(code, tmp_path) == []
+    assert _scipy_after(code, tmp_path) == []
     assert (tmp_path / "ned.csv").exists()
 
 
@@ -146,5 +208,5 @@ def test_arma_simulate_loads_scipy_signal(tmp_path):
         "from fclt_lab.cli import main\n"
         "assert main(['simulate', '--spec', 'spec.json', '--n', '50', '--out', 'x.csv']) == 0"
     )
-    assert "scipy.signal" in _heavy_scipy_after(code, tmp_path)
+    assert "scipy.signal" in _scipy_after(code, tmp_path)
     assert len([l for l in (tmp_path / "x.csv").read_text().splitlines() if not l.startswith("#")]) == 51
