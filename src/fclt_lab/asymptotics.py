@@ -221,54 +221,104 @@ def gamma_target_with_se(lrc: TrivariateLRC, a_r: float) -> tuple[Gamma2, np.nda
 
 
 def _component_series(values: np.ndarray, r: int, q: float) -> np.ndarray:
-    """Stack (X, |X|^r, ind(X <= q)) along a new axis -2. values: (..., n)."""
-    absr = np.abs(values) ** r if r != 1 else np.abs(values)
-    ind = (values <= q).astype(np.float64)
-    return np.stack([values, absr, ind], axis=-2)
+    """(X, |X|^r, ind(X <= q)) written into one C-order block (..., 3, n)."""
+    out = np.empty(values.shape[:-1] + (3, values.shape[-1]))
+    out[..., 0, :] = values
+    absr = out[..., 1, :]
+    np.abs(values, out=absr)
+    if r != 1:
+        absr **= r
+    np.less_equal(values, q, out=out[..., 2, :], casting="unsafe")
+    return out
+
+
+_TILE = 2048  # time steps per tile of the windowed sums; it fixes their summation order
+
+
+def _tail_lags(max_lag: int) -> np.ndarray:
+    """The lags at which ``_long_run_sum`` records covariances for the tail fit.
+
+    Every lag 1..L for L <= 16; otherwise the powers of two below L - 4 and
+    the last five lags L - 4..L, which set the noise floor. The grid depends
+    on L alone, never on the data, the chunking or the threads.
+    """
+    if max_lag <= 16:
+        return np.arange(1, max_lag + 1)
+    return np.concatenate([2 ** np.arange((max_lag - 5).bit_length()), np.arange(max_lag - 4, max_lag + 1)])
 
 
 def _long_run_sum(series: np.ndarray, max_lag: int, lag_out: np.ndarray) -> np.ndarray:
-    """Truncated long-run covariance of centered series (..., 3, n).
+    """Truncated long-run covariance sum_{|h| <= L} Gamma_hat(h) of series (..., 3, n).
 
-    The series are centred once into a row-major (C-order) block, so every
-    lagged operand is a contiguous run of each row. Lag i, clamped to n - 1,
-    fills slot i of a (..., L+1, 3, 3) tensor with one batched matmul of the
-    block against its lag-i shift; the lags 1..L are then summed by a single
-    contraction with a vector of ones, whose summation order the report bits
-    are pinned to. The uniform n/(n-1) factor removes the lag-0 bias from
-    mean estimation (exact for independent data) without breaking positive
-    semi-definiteness. ``lag_out`` (max_lag+1, 3, 3) accumulates the per-lag
-    covariance matrices summed over the batch (for tail-decay fitting).
+    With c the centred series and W_t = sum_{|s - t| <= L} c_s (s clamped to
+    0..n-1), the sum is (1/n) sum_t W_t c_t^T: one (3 x n)(n x 3) product per
+    row, so the cost is O(n) whatever L. Time runs in tiles of ``_TILE``
+    steps. A tile [a, b) centres its window [a - L, b + L) into one C-order
+    buffer, takes the covariances at the tail-fit lags from it, and turns it
+    into a cumulative sum in place; W on the tile is a difference of two of
+    its entries. The product takes the uncentred tile, and the mean is
+    removed afterwards as (sum_t W_t) mean^T. Working memory is about
+    2 * _TILE + 2L steps per row, and the tile fixes the summation order, so
+    each row's bits depend neither on the batch nor on the chunking. The
+    uniform n/(n-1) factor removes the lag-0 bias from mean estimation
+    (exact for independent data) without breaking positive
+    semi-definiteness. ``lag_out`` (..., len(_tail_lags(L)), 3, 3) accumulates
+    each row's lagged covariance matrices at the lags of ``_tail_lags(L)``
+    (for tail-decay fitting); no other lag is computed.
     """
     n = series.shape[-1]
     L = min(max_lag, n - 1)
-    c = np.subtract(series, series.mean(axis=-1, keepdims=True), order="C")
-    lags = np.empty(c.shape[:-2] + (L + 1, 3, 3))
-    for i in range(L + 1):
-        np.matmul(c[..., i:], np.swapaxes(c[..., : n - i], -1, -2), out=lags[..., i, :, :])
-    lags /= n
-    lag_out[: L + 1] += lags.reshape(-1, L + 1, 3, 3).sum(axis=0)
-    half = np.einsum("l,...lab->...ab", np.ones(L), lags[..., 1:, :, :])
-    return (lags[..., 0, :, :] + half + np.swapaxes(half, -1, -2)) * (n / (n - 1.0))
+    lags = _tail_lags(L)
+    rows = series.shape[:-1]
+    mean = series.mean(axis=-1, keepdims=True)
+    window = np.empty(rows + (min(n, _TILE + 2 * L) + 1,))
+    w = np.empty(rows + (min(n, _TILE),))
+    acc = np.zeros(rows[:-1] + (3, 3))
+    lag_acc = np.zeros(rows[:-1] + (lags.size, 3, 3))
+    w_sum = np.zeros(rows)
+    for a in range(0, n, _TILE):
+        b = min(a + _TILE, n)
+        lo, hi = max(a - L, 0), min(b + L, n)
+        cum = window[..., : hi - lo + 1]
+        c = cum[..., 1:]
+        np.subtract(series[..., lo:hi], mean, out=c)
+        for j, h in enumerate(lags):
+            e = min(b, n - h) - lo  # pairs (t, t + h) with t in [a, b) and t + h < n
+            if e > a - lo:
+                lag_acc[..., j, :, :] += np.matmul(c[..., a - lo + h : e + h], np.swapaxes(c[..., a - lo : e], -1, -2))
+        cum[..., 0] = 0.0
+        np.cumsum(c, axis=-1, out=c)
+        # W_t = cum[min(t + L + 1, n) - lo] - cum[max(t - L, 0) - lo] for t in [a, b)
+        wt = w[..., : b - a]
+        k = max(min(b, n - L) - a, 0)
+        wt[..., :k] = cum[..., a + L + 1 - lo : a + L + 1 - lo + k]
+        wt[..., k:] = cum[..., -1:]  # windows cut at the end, where hi = n
+        k = min(max(L - a, 0), b - a)
+        wt[..., k:] -= cum[..., a + k - L - lo : b - L - lo]  # windows cut at 0 subtract cum[0] = 0
+        acc += np.matmul(wt, np.swapaxes(series[..., a:b], -1, -2))
+        w_sum += wt.sum(axis=-1)
+    lag_out += lag_acc / n
+    acc -= w_sum[..., :, None] * np.swapaxes(mean, -1, -2)
+    acc /= n - 1.0
+    return 0.5 * (acc + np.swapaxes(acc, -1, -2))
 
 
-def _geometric_tail_bound(lag_norms: np.ndarray) -> float | None:
+def _geometric_tail_bound(lags: np.ndarray, lag_norms: np.ndarray) -> float | None:
     """Extrapolate sum_{i > L} |cov(i)| from a geometric fit of the lag decay.
 
-    Only lags whose magnitude clears the MC noise floor (taken from the last
-    lags) inform the fit; when the covariances die out before the cutoff the
-    truncated mass is reported as 0.
+    ``lag_norms`` are the norms of the mean lagged covariances at ``lags``,
+    the grid ``_tail_lags(L)``. Only lags whose magnitude clears the MC noise
+    floor (taken from the last five lags) inform the fit; when the
+    covariances die out before the cutoff the truncated mass is reported as 0.
     """
-    L = lag_norms.shape[0] - 1
+    L = int(lags[-1]) if lags.size else 0
     if L < 5:
         return None
     noise_floor = float(np.median(lag_norms[-5:]))
-    norms = lag_norms[1:]
-    keep = norms > max(3.0 * noise_floor, 1e-300)
+    keep = lag_norms > max(3.0 * noise_floor, 1e-300)
     if keep.sum() < 4:
         return 0.0  # decayed below MC noise well before the cutoff
-    k = np.arange(1, L + 1, dtype=float)[keep]
-    slope, intercept = np.polyfit(k, np.log(norms[keep]), 1)
+    slope, intercept = np.polyfit(lags[keep].astype(float), np.log(lag_norms[keep]), 1)
     rho = math.exp(slope)
     if not 0.0 < rho < 1.0:
         return None  # no geometric decay visible
@@ -307,7 +357,8 @@ def trivariate_long_run_cov_mc(
     Simulates ``n_reps`` independent paths (stream (seed, rep)), forms the
     truncated lagged-covariance sums of the three component series per path,
     and averages; per-entry MC standard errors come from the spread across
-    replications. Refuses inadmissible specs, citing the failed reports.
+    replications. Refuses inadmissible specs, citing the failed reports, and
+    a ``max_lag`` that is not below ``n_per_rep``.
     """
     if max_lag < 0:
         raise ParameterError("max_lag must be >= 0")
@@ -315,6 +366,8 @@ def trivariate_long_run_cov_mc(
         raise ParameterError("n_reps must be >= 2")
     if n_per_rep < 2:
         raise ParameterError("n_per_rep must be >= 2")
+    if max_lag >= n_per_rep:
+        raise ParameterError(f"max_lag must be below n_per_rep = {n_per_rep}, got {max_lag}")
     if not f_at_q > 0:
         raise SingularityError(f"f_at_q must be > 0, got {f_at_q}")
     ok, reports = approve(spec, r)
@@ -322,17 +375,15 @@ def trivariate_long_run_cov_mc(
         raise refusal(spec, reports)
 
     rep_sigma = np.empty((n_reps, 3, 3))
-    n_chunks = (n_reps + chunk_size - 1) // chunk_size
-    lag_acc = np.zeros((n_chunks, max_lag + 1, 3, 3))  # per-chunk slots keep threads race-free
+    lags = _tail_lags(max_lag)
+    lag_acc = np.zeros((n_reps, lags.size, 3, 3))  # per replication, summed in replication order below
 
     def task(start, stop):
-        values = simulate_batch(spec, n_per_rep, burn_in, seed, range(start, stop))
-        series = _component_series(values, r, q_true)
-        rep_sigma[start:stop] = _long_run_sum(series, max_lag, lag_out=lag_acc[start // chunk_size])
+        series = _component_series(simulate_batch(spec, n_per_rep, burn_in, seed, range(start, stop)), r, q_true)
+        rep_sigma[start:stop] = _long_run_sum(series, max_lag, lag_out=lag_acc[start:stop])
 
     run_chunked(n_reps, task, chunk_size=chunk_size, threads=threads)
-    lag_means = lag_acc.sum(axis=0) / n_reps
-    tail_bound = _geometric_tail_bound(np.linalg.norm(lag_means, axis=(1, 2))) if max_lag >= 5 else None
+    tail_bound = _geometric_tail_bound(lags, np.linalg.norm(lag_acc.sum(axis=0) / n_reps, axis=(1, 2)))
 
     rep_scaled = _scale_indicator_row(rep_sigma, f_at_q)
     sigma = rep_scaled.mean(axis=0)

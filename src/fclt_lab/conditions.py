@@ -23,6 +23,7 @@ back inconclusive when a piece of the quadrature misses its accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -438,10 +439,20 @@ def _gates(spec: ProcessSpec, rep: ConditionReport) -> bool:
 
 
 def approve(spec: ProcessSpec, r: int) -> tuple[bool, list[ConditionReport]]:
-    """Whether the limit theory's checkable preconditions hold for (spec, r)."""
-    reports = check_spec(spec, r)
-    ok = all(rep.satisfied for rep in reports if _gates(spec, rep))
-    return ok, reports
+    """Whether the limit theory's checkable preconditions hold for (spec, r).
+
+    ``check_spec`` is a pure function of (spec, r) (quadrature and fixed
+    grids, no randomness), so the verdict is computed once per pair; every
+    call gets a fresh list of the (frozen) reports.
+    """
+    ok, reports = _approval(spec, r)
+    return ok, list(reports)
+
+
+@functools.lru_cache(maxsize=256)
+def _approval(spec: ProcessSpec, r: int) -> tuple[bool, tuple[ConditionReport, ...]]:
+    reports = tuple(check_spec(spec, r))
+    return all(rep.satisfied for rep in reports if _gates(spec, rep)), reports
 
 
 def refusal(spec: ProcessSpec, reports: list[ConditionReport]) -> RefusalError:

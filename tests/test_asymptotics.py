@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fclt_lab.asymptotics import (
     TrivariateLRC,
     _component_series,
     _long_run_sum,
+    _tail_lags,
     bahadur_remainder,
     gamma_from_trivariate,
     gaussian_kde_at,
@@ -197,6 +199,34 @@ def test_mc_reproducible_across_threads():
     assert np.array_equal(a.mc_se, b.mc_se)
 
 
+def test_mc_tail_bound_independent_of_chunks_and_threads():
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    kw = dict(q_true=0.0, f_at_q=0.4, max_lag=30, n_per_rep=3000, n_reps=24, seed=19)
+    runs = [
+        trivariate_long_run_cov_mc(spec, 0.5, 2, chunk_size=chunk, threads=threads, **kw)
+        for chunk, threads in ((24, 1), (5, 1), (5, 2), (7, 2))
+    ]
+    assert runs[0].tail_bound is not None and runs[0].tail_bound > 0.0
+    for run in runs[1:]:
+        assert run.tail_bound == runs[0].tail_bound
+        assert np.array_equal(run.rep_sigma, runs[0].rep_sigma)
+
+
+@pytest.mark.parametrize("max_lag", [200, 201, 2_000_000])
+def test_mc_refuses_max_lag_at_or_beyond_path_length(max_lag):
+    # refused before any allocation sized by max_lag
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="max_lag"):
+            trivariate_long_run_cov_mc(
+                ArmaSpec(phi=(-0.5,)), 0.5, 1, q_true=0.0, f_at_q=0.4, max_lag=max_lag, n_per_rep=200, n_reps=8
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 _MC_DIGEST_SCRIPT = """
 import hashlib
 from fclt_lab.asymptotics import trivariate_long_run_cov_mc
@@ -260,20 +290,77 @@ def test_lag_kernel_matches_double_loop(kernel_series, max_lag, time_major):
     if time_major:  # (2, 3, n) view of a (n, 2, 3) block: strides (24, 8, 48)
         series = np.moveaxis(np.ascontiguousarray(np.moveaxis(series, -1, 0)), 0, -1)
         assert series.strides[-1] == 48
-    lag_out = np.zeros((max_lag + 1, 3, 3))
+    lags = _tail_lags(min(max_lag, 399))  # clamped to n - 1
+    lag_out = np.zeros((2, lags.size, 3, 3))
     out = _long_run_sum(series, max_lag, lag_out=lag_out)
     assert out.shape == (2, 3, 3)
-    lag_sum = np.zeros_like(lag_out)
     for row in range(2):
         ref, ref_lags = _reference_long_run(kernel_series[row], max_lag)
         # the relative error of a sum is bounded against the summed magnitudes
         # of its terms: at L = n - 1 the centred lags cancel to ~0
         scale = 2.0 * np.abs(ref_lags).sum(axis=0).max()
         np.testing.assert_allclose(out[row], ref, rtol=1e-12, atol=1e-12 * scale)
-        lag_sum[: ref_lags.shape[0]] += ref_lags
-    np.testing.assert_allclose(lag_out, lag_sum, rtol=1e-12, atol=1e-12 * np.abs(lag_sum).max())
-    if max_lag > 399:  # clamped to n - 1: the lags beyond stay untouched
-        assert not lag_out[400:].any()
+        # the row's covariances at the tail-fit lags, and no other lag
+        np.testing.assert_allclose(lag_out[row], ref_lags[lags], rtol=1e-12, atol=1e-12 * np.abs(ref_lags).max())
+
+
+def test_tail_lags_are_a_fixed_grid():
+    assert _tail_lags(0).size == 0
+    assert _tail_lags(16).tolist() == list(range(1, 17))
+    assert _tail_lags(17).tolist() == [1, 2, 4, 8, 13, 14, 15, 16, 17]
+    assert _tail_lags(50).tolist() == [1, 2, 4, 8, 16, 32, 46, 47, 48, 49, 50]
+    for L in range(17, 3000, 97):
+        lags = _tail_lags(L)
+        assert np.all(np.diff(lags) > 0) and lags[-5:].tolist() == list(range(L - 4, L + 1))
+
+
+@pytest.fixture(scope="module")
+def long_series():
+    # two GARCH paths of n = 2 * 10^4, component series of a 0.9 quantile
+    spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    values = np.stack([simulate(spec, 20_000, seed=(43, rep)).values for rep in range(2)])
+    return _component_series(values, 2, 1.3)
+
+
+def _reference_window_sum(series, L):
+    """sum_{|h| <= L} Gamma_hat(h) with exact sums: per lag for small L, and
+    (sum_t c_t)(sum_t c_t)^T / n when the window covers every pair."""
+    n = series.shape[-1]
+    if L < n - 1:
+        return _reference_long_run(series, L)[0]
+    c = [series[a] - math.fsum(series[a]) / n for a in range(3)]
+    total = np.array([math.fsum(c[a]) for a in range(3)])
+    return np.outer(total, total) / n * (n / (n - 1.0))
+
+
+@pytest.mark.parametrize("max_lag", [0, 1, 50, 19_999])
+def test_windowed_sums_match_exact_sums_at_n_2e4(long_series, max_lag):
+    n = long_series.shape[-1]
+    time_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(long_series, -1, 0)), 0, -1)
+    lags = _tail_lags(max_lag)
+    refs = [_reference_window_sum(long_series[row], max_lag) for row in range(2)]
+    for series in (long_series, time_major):
+        out = _long_run_sum(series, max_lag, lag_out=np.zeros((2, lags.size, 3, 3)))
+        for row, ref in enumerate(refs):
+            # |sum_{|s-t|<=L} c_s c_t^T| / n <= (2L + 1) sqrt(mean c_a^2 mean c_b^2)
+            rms = np.sqrt(np.var(long_series[row], axis=-1))
+            scale = (2 * max_lag + 1) * np.outer(rms, rms)
+            assert np.abs(out[row] - ref).max() <= 2e-15 * scale.max()
+            if max_lag < n - 1:  # at L = n - 1 the exact sum is ~0
+                np.testing.assert_allclose(out[row], ref, rtol=1e-13)
+
+
+def test_lag_kernel_peak_is_input_plus_one_block():
+    series = np.random.default_rng(5).standard_normal((8, 3, 20_000))
+    block = series.nbytes
+    _long_run_sum(series, 50, lag_out=np.zeros((8, _tail_lags(50).size, 3, 3)))  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        _long_run_sum(series, 50, lag_out=np.zeros((8, _tail_lags(50).size, 3, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block
 
 
 # --- remainder terms ---------------------------------------------------------------------

@@ -380,6 +380,21 @@ def test_mc_replication_target_incomplete_truth_refuses(garch_spec_file, tmp_pat
     assert len(err.strip().splitlines()) == 1 and err.startswith("refused:") and entry in err
 
 
+def test_mc_replication_target_lag_beyond_path_exits_2(garch_spec_file, tmp_path, capsys):
+    cfg = {
+        "spec": json.loads((tmp_path / "garch.json").read_text()),
+        "n": 50,
+        "reps": 4,
+        "max_lag": 50,
+        "truth": TRUTH,
+        "target": "replication_mc",
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path), "--threads", "1"]) == 2
+    _assert_one_line_error(capsys, "max_lag")
+
+
 def test_mc_replication_target_takes_a_list_seed(garch_spec_file, tmp_path):
     cfg = {
         "spec": json.loads((tmp_path / "garch.json").read_text()),

@@ -319,3 +319,23 @@ def test_positivity_gates_the_polynomial_group_only():
     )
     ok, reports = approve(generic, 1)
     assert not ok and not reports[0].satisfied and reports[0].discrepancy_note is None
+
+
+def test_approve_is_computed_once_per_spec_and_r(monkeypatch):
+    spec = garch((0.0731,), (0.8123,))  # a spec no other test approves
+    calls = []
+    expect = InnovationDist.expect
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return expect(self, *args, **kwargs)
+
+    monkeypatch.setattr(InnovationDist, "expect", counting)
+    first = approve(spec, 2)
+    assert calls and first[0]
+    calls.clear()
+    second = approve(spec, 2)
+    assert not calls
+    assert second == first and second[1] is not first[1]  # equal reports in a fresh list
+    approve(spec, 4)  # another r is checked afresh
+    assert calls
