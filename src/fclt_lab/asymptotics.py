@@ -303,16 +303,19 @@ def _long_run_sum(series: np.ndarray, max_lag: int, lag_out: np.ndarray) -> np.n
     return 0.5 * (acc + np.swapaxes(acc, -1, -2))
 
 
-def _geometric_tail_bound(lags: np.ndarray, lag_norms: np.ndarray) -> float | None:
+def _geometric_tail_bound(lags: np.ndarray, lag_norms: np.ndarray, n: int) -> float | None:
     """Extrapolate sum_{i > L} |cov(i)| from a geometric fit of the lag decay.
 
     ``lag_norms`` are the norms of the mean lagged covariances at ``lags``,
-    the grid ``_tail_lags(L)``. Only lags whose magnitude clears the MC noise
-    floor (taken from the last five lags) inform the fit; when the
-    covariances die out before the cutoff the truncated mass is reported as 0.
+    the grid ``_tail_lags(L)``, over paths of length ``n``. Only lags whose
+    magnitude clears the MC noise floor (taken from the last five lags) inform
+    the fit; when the covariances die out before the cutoff the truncated mass
+    is reported as 0. There is no bound (None) for L < 5, or for L > n // 2,
+    where each of the last lags averages fewer than n / 2 products per path
+    and the noise floor is itself noise.
     """
     L = int(lags[-1]) if lags.size else 0
-    if L < 5:
+    if L < 5 or L > n // 2:
         return None
     noise_floor = float(np.median(lag_norms[-5:]))
     keep = lag_norms > max(3.0 * noise_floor, 1e-300)
@@ -383,7 +386,7 @@ def trivariate_long_run_cov_mc(
         rep_sigma[start:stop] = _long_run_sum(series, max_lag, lag_out=lag_acc[start:stop])
 
     run_chunked(n_reps, task, chunk_size=chunk_size, threads=threads)
-    tail_bound = _geometric_tail_bound(lags, np.linalg.norm(lag_acc.sum(axis=0) / n_reps, axis=(1, 2)))
+    tail_bound = _geometric_tail_bound(lags, np.linalg.norm(lag_acc.sum(axis=0) / n_reps, axis=(1, 2)), n_per_rep)
 
     rep_scaled = _scale_indicator_row(rep_sigma, f_at_q)
     sigma = rep_scaled.mean(axis=0)
@@ -407,11 +410,41 @@ def trivariate_long_run_cov_mc(
 # --- kernel density estimate (pilot truth) ------------------------------------------
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(x, [75, 25])`` of a 1-D sample, bit for bit, from two
+    single-kth partitions of one copy (numpy partitions at up to six kth values
+    at once, which costs several times as much).
+
+    At numpy's virtual index v = (n - 1) q, with neighbours i = floor(v) and
+    i + 1 (both n - 1, and weight v + 1, at the top), each quartile is numpy's
+    ``_lerp`` of that pair of order statistics. The upper pair comes from a
+    partition of the copy; the lower pair from a partition of the head it
+    leaves, which holds the smallest values.
+    """
+    n = x.shape[0]
+    c = np.array(x, dtype=np.float64)
+    out = []
+    for q in (0.75, 0.25):
+        v = (n - 1) * q
+        if v >= n - 1:
+            i = j = n - 1
+            t = v + 1.0
+        else:
+            i = math.floor(v)
+            j, t = i + 1, v - i
+        c.partition(j)
+        a, b = (c[:j].max() if i < j else c[j]), c[j]
+        d = b - a
+        out.append(float(b - d * (1.0 - t) if t >= 0.5 else a + d * t))
+        c = c[: j + 1]  # the j + 1 smallest values
+    return out[0], out[1]
+
+
 def silverman_bandwidth(values: np.ndarray) -> float:
     x = np.asarray(values, dtype=float)
     n = x.shape[0]
     std = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    q75, q25 = _quartiles(x)
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     return 0.9 * spread * n ** (-0.2)

@@ -284,7 +284,8 @@ def values_from_innovations(
     ``strict=False`` diverging volatility states give NaN rows instead of
     raising, so batch callers can quarantine them. ``state`` (..., S) replaces
     the starting state: the m GARCH states at the pre-window times, then the
-    ARMA filter state; ``final_state`` also returns the state after the last
+    ARMA delay line of the transposed direct form, max(p, q, 1) entries (see
+    ``arma``); ``final_state`` also returns the state after the last
     step in that layout, from which a split path resumes bit for bit. With
     ``overwrite_input`` the GARCH output is written over ``eps``, which the
     caller must own (the NED draws are shared across k, so they never are).

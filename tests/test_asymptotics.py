@@ -13,6 +13,7 @@ from fclt_lab.asymptotics import (
     TrivariateLRC,
     _component_series,
     _long_run_sum,
+    _quartiles,
     _tail_lags,
     bahadur_remainder,
     gamma_from_trivariate,
@@ -210,6 +211,24 @@ def test_mc_tail_bound_independent_of_chunks_and_threads():
     for run in runs[1:]:
         assert run.tail_bound == runs[0].tail_bound
         assert np.array_equal(run.rep_sigma, runs[0].rep_sigma)
+
+
+def test_tail_bound_is_none_when_max_lag_exceeds_half_the_path():
+    # AR(1) phi = -0.5 at n = 200, where the true tail is about 0.5^L: near n
+    # the last lags average only n - L products per path, and the fit read
+    # 0.101 at L = 190 and 0.425 at L = 199
+    def bound(phi, max_lag):
+        return trivariate_long_run_cov_mc(
+            ArmaSpec(phi=(phi,)), 0.5, 1, q_true=0.0, f_at_q=0.4, max_lag=max_lag, n_per_rep=200, n_reps=8
+        ).tail_bound
+
+    assert bound(-0.5, 190) is None
+    assert bound(-0.5, 199) is None
+    assert bound(-0.5, 101) is None
+    # at L <= n // 2 the fit stands as it was
+    assert bound(-0.5, 100) == 0.0
+    assert bound(-0.5, 50) == 0.0
+    assert bound(-0.9, 50) == pytest.approx(0.04194824010988931, rel=1e-9)
 
 
 @pytest.mark.parametrize("max_lag", [200, 201, 2_000_000])
@@ -430,6 +449,16 @@ def test_remainders_translation_consistent():
 
 
 # --- kernel density at a point ------------------------------------------------------
+
+
+def test_quartiles_match_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in [1, 2, 3, *range(4, 200), 999, 1000, 1001, 10**5 + 3, 10**6]:
+        for x in (rng.standard_normal(n), rng.integers(-3, 4, n).astype(float)):  # with ties too
+            kept = x.copy()
+            got = np.array(_quartiles(x))
+            assert np.array_equal(got.view(np.int64), np.percentile(x, [75.0, 25.0]).view(np.int64)), n
+            assert np.array_equal(x, kept)  # the partitions work on a copy
 
 
 def test_kde_matches_the_textbook_expression_bit_for_bit():

@@ -7,10 +7,11 @@ scipy at module level. Importing the package, and a normal-law GARCH ``check``
 plus ``mc``, iid ``simulate`` plus closed-form ``mc`` or GARCH ``ned-scan``,
 load no scipy module at all; a Student t law loads ``scipy.special`` and none
 of ``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and
-``scipy.optimize`` (together over a second of start-up); only an ARMA filter
-loads ``scipy.signal``. No library module names ``scipy.integrate`` or ``quad``,
-and only ``innovations.py`` names its double-exponential rule: every integral
-against the innovation law goes through ``InnovationDist.expect``."""
+``scipy.optimize`` (together over a second of start-up), and neither does an
+ARMA or ARMA-GARCH run, whose filter is numpy. No library module names
+``scipy.integrate``, ``quad``, ``scipy.signal`` or ``lfilter``, and only
+``innovations.py`` names its double-exponential rule: every integral against
+the innovation law goes through ``InnovationDist.expect``."""
 
 import ast
 import json
@@ -79,7 +80,9 @@ def test_only_innovations_names_the_integrator():
     assert not found
 
 
-_QUADRATURE = re.compile(r"scipy\.integrate|from\s+scipy\s+import[^\n]*\bintegrate\b|\bquad\b")
+_QUADRATURE = re.compile(
+    r"scipy\.(?:integrate|signal)|from\s+scipy\s+import[^\n]*\b(?:integrate|signal)\b|\bquad\b|\blfilter\b"
+)
 
 
 def test_no_module_names_scipy_integrate():
@@ -200,13 +203,25 @@ def test_garch_ned_scan_loads_no_heavy_scipy(tmp_path):
     assert (tmp_path / "ned.csv").exists()
 
 
-def test_arma_simulate_loads_scipy_signal(tmp_path):
-    (tmp_path / "spec.json").write_text(json.dumps(
-        {"model": "arma", "phi": [-0.5], "theta": [0.3], "innovation": {"kind": "standard_normal"}}
+def test_arma_simulate_clt_and_ned_scan_load_no_heavy_scipy(tmp_path):
+    garch = {"model": "garch", "p": 1, "q": 1, "omega": 0.1, "alpha": [0.1], "beta": [0.8],
+             "innovation": {"kind": "standard_normal"}}
+    ar1 = {"model": "arma", "phi": [-0.5], "theta": [], "innovation": {"kind": "standard_normal"}}
+    cfg = {"experiment": "clt", "spec": ar1, "p": 0.95, "r": 1, "n": 300, "reps": 8, "seed": 1}
+    (tmp_path / "arma_garch.json").write_text(json.dumps(
+        {"model": "arma", "phi": [-0.5], "theta": [0.3], "innovation": garch}
     ))
+    (tmp_path / "ar1.json").write_text(json.dumps(ar1))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     code = (
         "from fclt_lab.cli import main\n"
-        "assert main(['simulate', '--spec', 'spec.json', '--n', '50', '--out', 'x.csv']) == 0"
+        "assert main(['simulate', '--spec', 'arma_garch.json', '--n', '50', '--out', 'x.csv']) == 0\n"
+        "assert main(['mc', '--config', 'cfg.json', '--out', 'mc.json', '--threads', '1']) == 0\n"
+        "assert main(['ned-scan', '--spec', 'ar1.json', '--functional', 'identity', '--kmax', '3',"
+        " '--samples', '32', '--redraws', '4', '--out', 'ned.csv']) == 0"
     )
-    assert "scipy.signal" in _scipy_after(code, tmp_path)
+    loaded = _scipy_after(code, tmp_path)
+    assert not set(HEAVY_SCIPY) & set(loaded), loaded
     assert len([l for l in (tmp_path / "x.csv").read_text().splitlines() if not l.startswith("#")]) == 51
+    assert json.loads((tmp_path / "mc.json").read_text())["report"]["used"] == 8
+    assert (tmp_path / "ned.csv").exists()
