@@ -16,13 +16,28 @@ discarded; geometric forgetting makes the initialization bias negligible
 relative to Monte Carlo error.
 
 The recursion runs over time tiles of about 1 MiB of state (the width is set by
-the batch width alone; a batch of more than 8192 rows, where the 16-step minimum
-tile would outgrow that, runs in row blocks of 8192). Each evaluates the
-transforms on a time-major copy of its innovations and pre-window, updates the
-state rows in place in the order
-((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ... and carries its last pre-window
-states on: the bits do not depend on the tiling; memory is output + O(batch x tile),
-and the output may overwrite the innovations.
+the batch width alone; a batch of more than 2048 rows runs in row blocks of 2048).
+Memory is output + O(batch x tile), and the output may overwrite the innovations.
+
+A scalar state (m = 1, with a c transform) follows the affine recursion
+state_t = G_t + C_t state_{t-1} and runs as a block scan (Blelloch 1990; Martin &
+Cundy 2018). The output steps of a call fall into blocks of 64, counted from its
+first output step; a tile holds whole blocks, laid out block-major, so that one
+step of all its blocks is one contiguous vector. Block 0 runs in sequential order
+from the given state. Every later block runs its local recursion from 0 beside P,
+the running product of its C; the block starts then follow in sequence over the
+block ends, S_next = local_end + P_end S, and the states are local + P S. Nothing
+is divided, so C = 0 or an underflowing P needs no special case. Against the
+sequential order this moves the last bits: X agrees with it to 1e-13 relative
+(the tests' bound; measured at most 1.1e-14, at alpha + beta = 0.999). The bits do
+not depend on the batch width, the row blocks, the tiles or a caller's chunks, and
+a call of at most 64 output steps keeps the sequential bits. A call resumed from
+``final_state`` starts its blocks at the split, so it agrees with the
+uninterrupted call to that bound, not bit for bit.
+
+Any other spec (m > 1) runs the step loop over time-major tiles, in the order
+((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ...; its bits do not depend on the
+tiling, and a split path resumes bit for bit.
 """
 
 from __future__ import annotations
@@ -54,9 +69,11 @@ MODELS = POLYNOMIAL_MODELS | EXPONENTIAL_MODELS | {"generic"}
 # (gjr uses the starred parametrization, which is not bounded this way)
 _GAMMA_BOUNDED = frozenset({"apgarch", "agarch", "tgarch", "tsgarch", "vgarch", "ngarch", "egarch"})
 
-# a tile is at least 16 steps, so a batch wider than 2^20 // (8 * 16) rows runs in
-# row blocks of that many to keep each tile near 1 MiB of state
-_MAX_BLOCK_ROWS = 2**20 // (8 * 16)
+# a scalar recursion (m = 1) runs as a block scan over blocks of this many steps;
+# a batch wider than 2^20 // (8 * _BLOCK) rows runs in row blocks of that many,
+# so that a one-block tile stays near 1 MiB of state
+_BLOCK = 64
+_MAX_BLOCK_ROWS = 2**20 // (8 * _BLOCK)
 
 
 def _pow_even(z, exponent: float):
@@ -180,7 +197,7 @@ class AugGarchSpec:
                 (lambda e, a=a: w + a * np.log(np.square(e))) for a in self.alpha
             )
         if self.model == "egarch":
-            mu_abs = self.innovation.abs_mean()
+            mu_abs = _abs_mean(self.innovation)
             gam = self._padded(self.gamma, self.p)
             return tuple(
                 (lambda e, a=a, g=g: w + a * (np.abs(e) - mu_abs) + g * e)
@@ -234,10 +251,18 @@ class AugGarchSpec:
 
     @property
     def pre_window(self) -> int:
-        return max(len(self.g_transforms()), len(self.c_transforms()), 1)
+        """Lags of the recursion: the number of g_i or c_j transforms, whichever is larger."""
+        if self.model == "generic":
+            return max(len(self.g_funcs), len(self.c_funcs), 1)
+        return max(self.p, self.q)
 
     def state_fixed_point(self) -> float:
         return _state_fixed_point(self)
+
+
+@functools.lru_cache(maxsize=256)
+def _abs_mean(dist: InnovationDist) -> float:
+    return dist.abs_mean()  # a quadrature for most laws: once per law, not per transform built
 
 
 @functools.lru_cache(maxsize=256)
@@ -266,14 +291,14 @@ def garch_values_from_innovations(
     the lag window (the states there are held at the fixed point, or given as
     ``state`` (..., m)) and the returned values X_t = sigma_t eps_t have shape
     (..., T - m), row-major. ``final_state`` also returns the states at the
-    last m times, from which a split path resumes bit for bit. Memory is the
-    output plus one time tile of state (module docstring). With
-    ``overwrite_input`` the output is the view ``eps[..., :T - m]``: each tile
-    writes only innovations it has already copied, so a caller that owns
-    ``eps`` holds one block. A non-finite or non-positive state raises
-    DivergenceError naming the first offending step; with ``strict=False`` the
-    affected batch rows come back as NaN so a caller can quarantine them
-    individually.
+    last m times, from which a split path resumes (bit for bit when m > 1;
+    see the module docstring). Memory is the output plus one time tile of
+    state. With ``overwrite_input`` the output is the view
+    ``eps[..., :T - m]``: each tile writes only innovations it has already
+    copied, so a caller that owns ``eps`` holds one block. A non-finite or
+    non-positive state raises DivergenceError naming the first offending step;
+    with ``strict=False`` the affected batch rows come back as NaN so a caller
+    can quarantine them individually.
     """
     eps = np.asarray(eps, dtype=np.float64)
     g_list = spec.g_transforms()
@@ -310,35 +335,98 @@ def _recursion_rows(spec, g_list, c_list, rows, values, states, strict):
     rows that diverged (with ``strict``, DivergenceError at the first bad step)."""
     m = states.shape[1]
     B, T = rows.shape
-    width = min(T - m, max(16, 2**20 // (8 * max(B, 1))))
-    lam = np.empty((m + width, B))  # m carried states, then a tile
-    lam[:m] = states.T
-    lam_rows, tmp, diverged = list(lam), np.empty(B), np.zeros(B, dtype=bool)
+    n = T - m
+    scan = m == 1 and len(c_list) == 1
+    unit = _BLOCK if scan else 16  # a tile is a whole number of these, about 1 MiB of state
+    width = min(n, unit * max(1, 2**20 // (8 * unit * B)))
+    carry, diverged = states.T.copy(), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(m, T, width):
-            w = min(width, T - start)
-            e = rows[:, start - m : start + w].T.copy()  # times start-m .. start+w-1; a copy even at B = 1
-            body = lam[m : m + w]
-            body[...] = sum(g(e[m - i : m - i + w]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
-            C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
-            for t in range(m, m + w):
-                acc = lam_rows[t]
-                for j, Cj in C:  # out= positional: the keyword form costs more per step
-                    np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
-            out = values[:, start - m : start - m + w].T  # time-major view of the row-major output
-            # X_t = sigma_t eps_t from the tile's copy of the innovations
-            if spec.is_exponential:
-                bad = ~np.isfinite(body)
-                np.exp(0.5 * body, out=out)
-                out *= e[m:]
-            else:
-                bad = ~np.isfinite(body) | (body <= 0.0)
-                e[m:] *= body ** (0.5 / spec.lam_exponent)  # ndarray ** is sqrt at 0.5, a copy at 1
-                out[...] = e[m:]  # one strided write; a ufunc writing there directly is slower
+        for s0 in range(0, n, width):
+            w = min(width, n - s0)
+            span = min(w, _BLOCK) if scan else w
+            carry, bad = _tile(
+                spec, g_list, c_list, rows[:, s0 : s0 + m + w], values[:, s0 : s0 + w], carry, span, scan and s0 > 0
+            )
             if bad.any():
                 if strict:
-                    t_first = start + int(np.argmax(bad.any(axis=1)))
+                    t_first = m + s0 + int(np.argmax(bad.any(axis=2).T))  # block-major to time order
                     raise DivergenceError(t_first, "non-finite or non-positive volatility state")
-                diverged |= bad.any(axis=0)
-            lam[:m] = lam[w : w + m]
-    return lam[:m].T, diverged
+                diverged |= bad.any(axis=(0, 1))
+    return carry.T, diverged
+
+
+def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
+    """One tile: the (B, w) values ``out`` from the (B, m + w) innovations ``eps``
+    and the (m, B) states ``carry`` before them. The tile runs as K blocks of
+    ``span`` steps (the last may be shorter), laid out block-major, so that one
+    step of every block is one contiguous (K * B) row. Block 0 runs on from
+    ``carry`` unless ``resume``; every other block runs from 0 and is scanned
+    (``_add_block_starts``). Returns the states at the last m steps and the
+    (span, K, B) mask of bad states."""
+    m = carry.shape[0]
+    B, w = out.shape
+    K = -(-w // span)
+    full, r = w // span, w - (K - 1) * span  # whole blocks; steps in the last block
+    e = np.empty((m + span, K, B))  # e[i, k] = eps[:, k * span + i]
+    e[:m, 0] = eps[:, :m].T
+    if full:
+        e[m:, :full] = eps[:, m : m + full * span].reshape(B, full, span).transpose(2, 1, 0)
+    if full < K:
+        e[m : m + r, full] = eps[:, m + full * span :].T
+        e[m + r :, full] = 0.0  # padding
+    e[:m, 1:] = e[span : span + m, :-1]  # the m times before a block close the block before it
+    e = e.reshape(m + span, K * B)
+    lam = np.empty((m + span, K * B))  # the m states before each block, then its steps
+    lam[:m] = 0.0
+    if not resume:
+        lam[:m, :B] = carry
+    body = lam[m:]
+    body[...] = sum(g(e[m - i : m - i + span]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
+    C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
+    scanned = resume or K > 1  # some block runs from 0, which only a scan's tile has
+    if scanned:  # P: the product of C over each such block so far
+        C1 = [row[0 if resume else B :] for row in C[0][1]]
+        P = np.empty((span, len(C1[0])))
+        P_rows = list(P)
+        P_rows[0][...] = C1[0]
+    lam_rows, tmp = list(lam), np.empty(K * B)
+    for t in range(m, m + span):
+        acc = lam_rows[t]
+        for j, Cj in C:  # out= positional: the keyword form costs more per step
+            np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
+        if scanned and t > 1:
+            np.multiply(C1[t - 1], P_rows[t - 2], P_rows[t - 1])
+    if scanned:
+        del C, C1, P_rows  # C and P are tile-sized: freed before the sigma pass, which sets the peak
+        _add_block_starts(body.reshape(span, K, B), P.reshape(span, -1, B), carry[0] if resume else None)
+        del P
+    final = lam[r : r + m].reshape(m, K, B)[:, -1].copy()  # the states at the last m steps
+    bad = ~np.isfinite(body) if spec.is_exponential else ~np.isfinite(body) | (body <= 0.0)
+    bad = bad.reshape(span, K, B)
+    bad[r:, -1] = False  # the padding of a short last block
+    x = e[m:]  # X_t = sigma_t eps_t from the tile's copy of the innovations
+    x *= np.exp(0.5 * body) if spec.is_exponential else body ** (0.5 / spec.lam_exponent)  # ** is sqrt at 0.5
+    x = x.reshape(span, K, B)
+    if full:
+        out[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)[...] = x[:, :full]
+    if full < K:
+        out[:, full * span :].T[...] = x[:r, full]
+    return final, bad
+
+
+def _add_block_starts(local, P, start):
+    """Turn the blocks of ``local`` (span, K, B) that ran from 0 into states.
+
+    ``P`` (span, K', B) holds the running products of C over the last K' blocks.
+    Each such block's state is local + P * S, where S is the state before the
+    block: ``start`` for block 0 when K' = K, otherwise the last state of the
+    block before. Only the K' block ends pass through a loop.
+    """
+    k0 = local.shape[1] - P.shape[1]
+    S = np.empty(P.shape[1:])
+    S[0] = local[-1, 0] if start is None else start
+    ends, P_ends, S_rows, tmp = list(local[-1, k0:]), list(P[-1]), list(S), np.empty(S.shape[1])
+    for k in range(1, len(S_rows)):  # S_k = local_end + P_end * S_{k-1}: the state closing block k - 1
+        np.add(ends[k - 1], np.multiply(P_ends[k - 1], S_rows[k - 1], tmp), S_rows[k])
+    P *= S
+    local[:, k0:] += P

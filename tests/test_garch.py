@@ -131,9 +131,18 @@ def test_vgarch_state_independent_of_volatility_feedback():
 
 # --- the time-tiled kernel against a plain per-step reference -------------------
 
+BLOCK = 64  # steps per block of the scalar-state scan
 
-def _reference_values(spec, eps, strict=True):
-    """The recursion written out step by step over the whole (..., T) block."""
+
+def _reference_values(spec, eps, strict=True, blocks=True):
+    """The recursion written out step by step over the whole (..., T) block.
+
+    A scalar state (m = 1) follows the block order of the scan: the output steps
+    fall into blocks of BLOCK. Block 0 runs on from the start state. A later
+    block runs its local recursion from 0 and the product P of its C, and its
+    state is local + P * S, with S the state before the block. With
+    ``blocks=False``, or for m > 1, every step runs in sequential order.
+    """
     eps = np.asarray(eps, dtype=np.float64)
     m, T = spec.pre_window, eps.shape[-1]
     e = np.moveaxis(eps, -1, 0)
@@ -141,10 +150,18 @@ def _reference_values(spec, eps, strict=True):
         g = [np.broadcast_to(gi(e), e.shape) for gi in spec.g_transforms()]
         c = [np.broadcast_to(cj(e), e.shape) for cj in spec.c_transforms()]
         lam = np.full(e.shape, spec.state_fixed_point())
+        scan = blocks and m == 1 and len(c) == 1
         for t in range(m, T):
             acc = np.zeros(e.shape[1:])
             for i, gi in enumerate(g, start=1):
                 acc = acc + gi[t - i]
+            if scan and t - m >= BLOCK:
+                if (t - m) % BLOCK == 0:  # a new block: S, and local and P from their neutral values
+                    S, local, P = lam[t - 1], np.zeros(e.shape[1:]), np.ones(e.shape[1:])
+                local = acc + c[0][t - 1] * local
+                P = c[0][t - 1] * P
+                lam[t] = local + P * S
+                continue
             for j, cj in enumerate(c, start=1):
                 acc = acc + cj[t - j] * lam[t - j]
             lam[t] = acc
@@ -185,7 +202,11 @@ TILE_128 = 1024
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 @pytest.mark.parametrize(
     "batch, steps",
-    [((5,), 1), ((128,), TILE_128 - 1), ((128,), TILE_128), ((128,), TILE_128 + 1), ((3, 4), 2 * TILE_128 + 3), ((), 300)],
+    [
+        ((5,), 1), ((128,), TILE_128 - 1), ((128,), TILE_128), ((128,), TILE_128 + 1),
+        ((3, 4), 2 * TILE_128 + 3), ((), 300),
+        ((7,), BLOCK), ((7,), BLOCK + 1),  # the sequential bits up to one scan block
+    ],
 )
 def test_kernel_matches_reference_bit_for_bit(name, batch, steps):
     spec = KERNEL_SPECS[name]
@@ -248,7 +269,7 @@ def test_kernel_peak_memory_is_output_plus_a_tile():
     assert peak <= 1.25 * values.nbytes + 4 * 2**20
 
 
-# past 2^20 // (8 * 16) = 8192 rows the 16-step minimum tile would outgrow 1 MiB
+# past 2^20 // (8 * 64) = 2048 rows a one-block scan tile would outgrow 1 MiB: row blocks
 WIDE_ROWS, WIDE_STEPS = 65_536, 40
 
 
@@ -283,6 +304,75 @@ def test_wide_batch_rows_equal_narrower_batches(name):
     with pytest.raises(DivergenceError) as err:  # the first bad step lies in a later row block
         garch_values_from_innovations(spec, eps)
     assert err.value.step == 12
+
+
+# --- the block scan of a scalar state against the sequential recursion -----------
+
+# X from the scan agrees with the sequential order to SCAN_RTOL relative, about 450
+# times the double epsilon. Measured: at most 1.1e-14 at alpha + beta = 0.999 and
+# 1e-15 on the other cases below; a wrong block start would be off by O(1).
+SCAN_RTOL = 1e-13
+
+
+def _assert_near(got, want):
+    dev = np.abs(got - want)
+    assert np.all(dev <= SCAN_RTOL * np.abs(want)), np.max(dev / np.abs(want))
+
+
+def _accuracy_spec(name):
+    if name == "t3":
+        with pytest.warns(UserWarning):  # dof <= 4: no fourth moment, as intended here
+            law = InnovationDist("student_t", 3.0)
+        return AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,), innovation=law)
+    return {
+        "arch1_zeros": AugGarchSpec(model="arch", p=1, q=0, omega=0.2, alpha=(0.5,)),
+        "egarch": KERNEL_SPECS["egarch"],  # G of mixed sign
+        "persistence_0999": AugGarchSpec(model="garch", omega=0.001, alpha=(0.1,), beta=(0.899,)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["arch1_zeros", "t3", "egarch", "persistence_0999"])
+def test_scan_matches_the_sequential_recursion_within_the_bound(name):
+    spec = _accuracy_spec(name)
+    rng = stream_generator((7, len(name)))
+    eps = spec.innovation.sample(rng, (16, 1 + 5000))
+    if name == "arch1_zeros":  # C = 0 there, so P is 0 for the rest of the block
+        eps[rng.random(eps.shape) < 0.1] = 0.0
+    _assert_near(garch_values_from_innovations(spec, eps), _reference_values(spec, eps, blocks=False))
+
+
+def test_scan_of_one_long_path_matches_the_sequential_recursion():
+    spec = _accuracy_spec("persistence_0999")
+    eps = NORMAL.sample(stream_generator(31), 1 + 10**6)
+    (g,), (c,) = spec.g_transforms(), spec.c_transforms()
+    lam, states = spec.state_fixed_point(), []
+    for g_t, c_t in zip(g(eps[:-1]).tolist(), c(eps[:-1]).tolist()):  # sequential, in Python floats
+        lam = g_t + c_t * lam
+        states.append(lam)
+    _assert_near(garch_values_from_innovations(spec, eps), np.sqrt(states) * eps[1:])
+
+
+# 150 rows give tiles of 2**20 // (8 * 64 * 150) = 13 blocks (832 steps), 37 rows 55 blocks
+NARROW_ROWS, NARROW_STEPS = 150, 9000
+
+
+@pytest.mark.parametrize("name", ["garch", "pgarch"])
+def test_scan_rows_equal_narrower_batches_over_several_tiles(name):
+    spec = KERNEL_SPECS[name]
+    eps = _with_blowups(spec, NARROW_ROWS, NARROW_STEPS, [(100, 5000), (20, 7777)])
+    state = spec.state_fixed_point() * np.random.default_rng(2).uniform(0.5, 1.5, (NARROW_ROWS, 1))
+    got, got_state = garch_values_from_innovations(spec, eps, strict=False, state=state, final_state=True)
+    parts = [
+        garch_values_from_innovations(spec, eps[rows], strict=False, state=state[rows], final_state=True)
+        for rows in np.split(np.arange(NARROW_ROWS), [1, 38, 75, 113])  # 1, 37, 37, 38 and 37 rows
+    ]
+    assert _same_bits(got, np.concatenate([v for v, _ in parts]))
+    assert _same_bits(got_state, np.concatenate([s for _, s in parts]))
+    assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [20, 100]
+    for rows in (slice(None), slice(75, 113)):  # the first bad step lies in a later tile at either width
+        with pytest.raises(DivergenceError) as err:
+            garch_values_from_innovations(spec, eps[rows])
+        assert err.value.step == 5000
 
 
 # --- the output written over its own innovations -----------------------------------

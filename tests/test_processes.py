@@ -199,6 +199,10 @@ RESUMABLE = {
 }
 
 
+# the bound of the scalar-state scan against another block alignment (tests/test_garch.py)
+SCAN_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("name", sorted(RESUMABLE))
 @pytest.mark.parametrize("split", [1, 700, 1023, 1024, 1500])  # 128 rows give 1024-step GARCH tiles
 def test_resumed_recursion_matches_uninterrupted_bit_for_bit(name, split):
@@ -208,6 +212,23 @@ def test_resumed_recursion_matches_uninterrupted_bit_for_bit(name, split):
     values, state = values_from_innovations(spec, eps, final_state=True)
     head, carried = values_from_innovations(spec, eps[:, : m + split], final_state=True)
     tail, end = values_from_innovations(spec, eps[:, split:], state=carried, final_state=True)
-    assert np.array_equal(np.concatenate([head, tail], axis=-1), values)
-    assert np.array_equal(end, state)
+    if m == 1:  # a scalar state: the resumed call starts its scan blocks at the split
+        assert np.array_equal(head, values[:, :split])
+        assert np.all(np.abs(tail - values[:, split:]) <= SCAN_RTOL * np.abs(values[:, split:]))
+        assert np.all(np.abs(end - state) <= SCAN_RTOL * np.maximum(np.abs(state), 1.0))  # log sigma^2
+    else:
+        assert np.array_equal(np.concatenate([head, tail], axis=-1), values)
+        assert np.array_equal(end, state)
     assert np.array_equal(values_from_innovations(spec, eps), values)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,)), RESUMABLE["egarch"]],
+    ids=["garch", "egarch"],
+)
+def test_simulate_batch_rows_equal_simulate_over_several_tiles(spec):
+    # 3 rows give tiles of 682 scan blocks (43,648 steps), one row a single tile
+    block = simulate_batch(spec, 100_000, 0, 12, range(3))
+    for row, rep in zip(block, range(3)):
+        assert np.array_equal(row, simulate(spec, 100_000, burn_in=0, seed=(12, rep)).values)
