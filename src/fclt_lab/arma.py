@@ -10,18 +10,18 @@ Causality requires Phi(z) != 0 for all |z| <= 1; simulation is the causal
 linear filter applied to the innovation series.
 
 The filter is the transposed direct form with a delay line z of length
-N - 1 = max(p, q, 1), run in the order of operations of SciPy's IIR filter
-routine, so its values and final states have that routine's bits:
+N - 1 = max(p, q, 1), in the order of operations of SciPy's IIR filter routine:
 y_t = z_0 + x_t, then z_n = (z_{n+1} + x_t b_{n+1}) - y_t a_{n+1} for each
 inner delay and z_{N-2} = x_t b_{N-1} - y_t a_{N-1} for the last, with b the
-coefficients of Theta and a those of Phi, padded with zeros. A batch of at
-most 8 rows runs it row by row on Python floats; a wider batch runs it
-time-major, one ufunc per term per step, over time tiles of about 1 MiB per
-buffer. Both paths give the same bits. Where only one coefficient of the last
-delay is zero, both drop its term (z_{N-2} = y_t (-a_{N-1}) for an AR last
-delay, x_t b_{N-1} for an MA one); that can change only the sign of a zero
-state, which shows in a value only if an innovation is zero as well. The
-filter is numpy and Python only: no scipy module is loaded.
+coefficients of Theta and a those of Phi, padded with zeros. Where only one
+coefficient of the last delay is zero, its term is dropped, which can change
+only the sign of a zero state. It runs as a block scan (Blelloch 1990; Martin
+& Cundy 2018) on the block-major tiles of ``garch``, in blocks of 64 steps
+counted from a call's first step: block 0 runs on from the given line, every
+later block from a zero line and is then corrected (``_filter_tile``). A call
+of at most 64 steps keeps the routine's bits; a longer one, or one resumed at
+a split, agrees to 1e-13 of the largest value (measured at most 3.8e-15, at
+phi = -0.999), whatever the batch width or tiling. No scipy is loaded.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonCausalError, NumericsError, ParameterError
-from .garch import AugGarchSpec
+from .garch import BLOCK, AugGarchSpec, from_blocks, to_blocks
 from .innovations import InnovationDist
 
 __all__ = ["ArmaSpec", "causal_ma_coefficients", "arma_values_from_innovations"]
 
 _COMMON_ROOT_TOL = 1e-8
 CAUSALITY_MARGIN = 1e-10
-_ROW_LOOP_ROWS = 8  # a batch of at most this many rows runs the filter on Python floats
-_ROW_CHUNK = 2**16  # steps per Python-float chunk of a row
 _TILE_BYTES = 2**20  # size of one buffer of a time tile
-_MAX_BLOCK_ROWS = _TILE_BYTES // (8 * 16)  # wider batches run in row blocks, so a 16-step tile stays 1 MiB
 
 
 def _poly_roots(coeffs: tuple[float, ...]) -> np.ndarray:
@@ -138,87 +135,78 @@ def causal_ma_coefficients(spec: ArmaSpec, K: int) -> np.ndarray:
 
 def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray):
     """Causal ARMA filter along the last axis of ``eps`` from the delay line
-    ``state`` (..., max(p, q, 1)); returns (values, final delay line).
-
-    The recursion and its order of operations are those of the module
-    docstring, so a path split anywhere resumes bit for bit from the delay
-    line. A batch of at most ``_ROW_LOOP_ROWS`` rows runs on Python floats,
-    row by row; a wider one runs time-major over tiles (``_filter_tiles``).
-    Both give the same bits, so the switch never shows in an output.
-    """
+    ``state`` (..., max(p, q, 1)); returns (values, final delay line), from
+    which a split path resumes to the scan's bound (module docstring)."""
     b = spec.theta + (0.0,) * (max(spec.p, 1) - spec.q)  # b_1..b_{N-1}
     a = spec.phi + (0.0,) * (len(b) - spec.p)  # a_1..a_{N-1}
     x = np.asarray(eps, dtype=np.float64)
-    T = x.shape[-1]
+    T, d = x.shape[-1], len(b)
     rows = x.reshape(math.prod(x.shape[:-1]), T)
-    z = np.array(np.reshape(state, (rows.shape[0], len(b))), dtype=np.float64)
-    values = np.empty(rows.shape)
-    if rows.shape[0] <= _ROW_LOOP_ROWS:
-        for row, out, zr in zip(rows, values, z):
-            _filter_row(b, a, row, out, zr)
-    else:
-        for r0 in range(0, rows.shape[0], _MAX_BLOCK_ROWS):  # rows are independent: blocks do not change bits
-            block = slice(r0, r0 + _MAX_BLOCK_ROWS)
-            _filter_tiles(b, a, rows[block], values[block], z[block])
-    return values.reshape(x.shape), z.reshape(x.shape[:-1] + (len(b),))
+    z = np.array(np.reshape(state, (rows.shape[0], d)), dtype=np.float64)
+    values, span, resp = np.empty(rows.shape), max(1, min(T, BLOCK)), None
+    if T > span:  # blocks from a zero line: H, M and M_r, the responses to the unit lines under zero input
+        H, r = np.empty((d, span)), (T - 1) % span + 1
+        M = _filter_tile(b, a, np.zeros((d, span)), H, np.eye(d), span, False, None).T
+        resp = H.T, M, _filter_tile(b, a, np.zeros((d, r)), np.empty((d, r)), np.eye(d), span, False, None).T
+    step = _TILE_BYTES // (8 * max(16, span))  # rows per row block: a one-block tile stays near 1 MiB
+    for r0 in range(0, rows.shape[0], step):  # rows are independent: blocks do not change bits
+        block = slice(r0, r0 + step)
+        width = span * max(1, _TILE_BYTES // (8 * span * len(z[block])))  # whole blocks per tile
+        for s0 in range(0, T, width):
+            tile = (block, slice(s0, s0 + width))
+            z[block] = _filter_tile(b, a, rows[tile], values[tile], z[block], span, s0 > 0, resp)
+    return values.reshape(x.shape), z.reshape(x.shape[:-1] + (d,))
 
 
-def _filter_row(b, a, x, out, state):
-    """The filter over one row ``x`` into ``out`` on Python floats, in chunks
-    of ``_ROW_CHUNK`` steps; ``state`` is updated in place."""
-    z = state.tolist()
-    mids = [(n, bn, an) for n, (bn, an) in enumerate(zip(b[:-1], a[:-1]))]
-    b_last, a_last, neg_a_last = b[-1], a[-1], -a[-1]
-    ar_last, ma_last = b_last == 0.0 != a_last, a_last == 0.0 != b_last
-    for start in range(0, x.shape[0], _ROW_CHUNK):
-        ys = []
-        put = ys.append
-        for xt in x[start : start + _ROW_CHUNK].tolist():
-            yt = z[0] + xt
-            for n, bn, an in mids:
-                z[n] = (z[n + 1] + xt * bn) - yt * an
-            z[-1] = yt * neg_a_last if ar_last else xt * b_last if ma_last else xt * b_last - yt * a_last
-            put(yt)
-        out[start : start + _ROW_CHUNK] = ys
-    state[:] = z
-
-
-def _filter_tiles(b, a, rows, values, state):
-    """The filter over (B, T) ``rows`` into ``values``, time-major over tiles of
-    about 1 MiB per buffer; ``state`` (B, N - 1) is updated in place.
-
-    A tile holds the innovations, which each step overwrites with y_t, and
-    x_t b_{n+1} for every delay n; the delay line stays in N - 1 rows of its
-    own, which every step updates in place.
-    """
-    B, T = rows.shape
-    width = max(16, _TILE_BYTES // (8 * B))
-    tile = np.empty((len(b) + 1, min(width, T), B))
-    xs, *xbs = (list(buf) for buf in tile)
-    coef = [np.full(B, an) for an in a]  # two-array ufuncs cost less per call than array-scalar ones
-    neg_a_last = np.full(B, -a[-1])
-    tmp = np.empty(B)
-    z = list(state.T.copy())
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    mids = range(len(b) - 1)
-    z_last, xb_last, a_last = z[-1], xbs[-1], coef[-1]
+def _filter_tile(b, a, rows, out, line, span, resume, resp):
+    """The (B, w) values ``out`` from the innovations ``rows`` and the (B, N - 1)
+    delay line ``line`` before them, in K blocks of ``span`` steps laid out by
+    ``to_blocks``; returns the line after them. Block 0 runs on from ``line``
+    unless ``resume``. Every other block runs from a zero line and gains H S in
+    its values and M S in its end line (M_r S if it is a last block of r < span
+    steps), S the line before it; only the block ends pass through a loop."""
+    d, (B, w) = len(b), rows.shape
+    K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
     ar_last, ma_last = b[-1] == 0.0 != a[-1], a[-1] == 0.0 != b[-1]
-    for start in range(0, T, width):
-        w = min(width, T - start)
-        x = tile[0, :w]
-        x[...] = rows[:, start : start + w].T
-        for bn, xb in zip(b[:-1] if ar_last else b, tile[1:, :w]):
-            multiply(x, bn, xb)
-        for t, y in enumerate(xs[:w]):  # out= positional: the keyword form costs more per step
-            add(z[0], y, y)
-            for n in mids:
-                add(z[n + 1], xbs[n][t], z[n])
-                subtract(z[n], multiply(y, coef[n], tmp), z[n])
-            if ar_last:
-                multiply(y, neg_a_last, z_last)
-            elif ma_last:
-                z_last[...] = xb_last[t]
-            else:
-                subtract(xb_last[t], multiply(y, a_last, tmp), z_last)
-        values[:, start : start + w] = x.T
-    state[...] = np.stack(z, axis=-1)
+    xb_coef = b[:-1] if ar_last else b  # an AR last delay drops its zero MA term
+    buf = np.empty((1 + len(xb_coef), span, K * B))  # x_t, which each step overwrites with y_t, and x_t b_n
+    to_blocks(rows, buf[0].reshape(span, K, B))
+    for bn, xb in zip(xb_coef, buf[1:]):
+        np.multiply(buf[0], bn, xb)
+    z = np.zeros((d, K * B))
+    if not resume:
+        z[:, :B] = line.T
+    coef = [np.full(K * B, an) for an in a]  # two-array ufuncs cost less per call than array-scalar ones
+    neg_a_last, tmp = np.full(K * B, -a[-1]), np.empty(K * B)
+    (xs, *xbs), zs = (list(rows_t) for rows_t in buf), list(z)
+    for t, y in enumerate(xs):  # out= positional: the keyword form costs more per step
+        np.add(zs[0], y, y)
+        for n in range(d - 1):
+            np.add(zs[n + 1], xbs[n][t], zs[n])
+            np.subtract(zs[n], np.multiply(y, coef[n], tmp), zs[n])
+        if ar_last:
+            np.multiply(y, neg_a_last, zs[-1])
+        elif ma_last:
+            zs[-1][...] = xbs[-1][t]
+        else:
+            np.subtract(xbs[-1][t], np.multiply(y, coef[-1], tmp), zs[-1])
+        if t == r - 1:
+            last = z[:, -B:].copy()  # the line after the last block
+    if resume or K > 1:
+        (H, M, M_r), k0 = resp, 0 if resume else 1  # k0: the first block that ran from a zero line
+        S = np.empty((d, K - k0 + 1, B))  # the line before each such block, then the line after the last
+        S[:, 0] = line.T if resume else z[:, :B]
+        Ms = [[[np.full(B, v) for v in row] for row in Mk] for Mk in (M, M if r == span else M_r)]
+        S_rows, tmp = [list(Si) for Si in S], np.empty(B)
+        end_rows = [list(e) + [e_last] for e, e_last in zip(z.reshape(d, K, B)[:, k0:-1], last)]
+        for k in range(1, K - k0 + 1):  # S_k = end_{k-1} + M S_{k-1}, in lag order
+            Mk = Ms[k == K - k0]
+            for i in range(d):
+                acc = S_rows[i][k]
+                for j in range(d):
+                    np.add(acc if j else end_rows[i][k - 1], np.multiply(Mk[i][j], S_rows[j][k - 1], tmp), acc)
+        ys, tmp, last = buf[0, :, k0 * B :], np.empty((span, (K - k0) * B)), S[:, -1]
+        for j in range(d):  # on 2-d views: an in-place ufunc on a strided 3-d view copies it
+            np.add(ys, np.multiply(H[:, j, None], S[j, :-1].reshape(-1), tmp), ys)
+    from_blocks(buf[0].reshape(span, K, B), out)
+    return last.T

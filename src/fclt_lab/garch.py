@@ -70,10 +70,10 @@ MODELS = POLYNOMIAL_MODELS | EXPONENTIAL_MODELS | {"generic"}
 _GAMMA_BOUNDED = frozenset({"apgarch", "agarch", "tgarch", "tsgarch", "vgarch", "ngarch", "egarch"})
 
 # a scalar recursion (m = 1) runs as a block scan over blocks of this many steps;
-# a batch wider than 2^20 // (8 * _BLOCK) rows runs in row blocks of that many,
+# a batch wider than 2^20 // (8 * BLOCK) rows runs in row blocks of that many,
 # so that a one-block tile stays near 1 MiB of state
-_BLOCK = 64
-_MAX_BLOCK_ROWS = 2**20 // (8 * _BLOCK)
+BLOCK = 64
+_MAX_BLOCK_ROWS = 2**20 // (8 * BLOCK)
 
 
 def _pow_even(z, exponent: float):
@@ -182,7 +182,7 @@ class AugGarchSpec:
         return tuple(arr) + (0.0,) * (length - len(arr))
 
     def g_transforms(self) -> tuple:
-        """Per-lag transforms g_i of the innovation (vectorized callables)."""
+        """Per-lag transforms g_i of the innovation (vectorized callables; a constant g_i returns a number)."""
         if self.model == "generic":
             return tuple(self.g_funcs)
         w = self.omega / self.p
@@ -204,14 +204,14 @@ class AugGarchSpec:
                 for a, g in zip(self.alpha, gam)
             )
         # whole polynomial apgarch/gjr/garch/... family: g_i = omega / p
-        return tuple((lambda e: np.full(np.shape(e), w)) for _ in range(self.p))
+        return tuple((lambda e: w) for _ in range(self.p))
 
     def c_transforms(self) -> tuple:
         """Per-lag transforms c_j multiplying the lagged state."""
         if self.model == "generic":
             return tuple(self.c_funcs)
         if self.model in ("vgarch", "mgarch", "egarch"):
-            return tuple((lambda e, b=b: np.full(np.shape(e), b)) for b in self.beta)
+            return tuple((lambda e, b=b: b) for b in self.beta)
         if self.model == "arch":
             return tuple((lambda e, a=a: a * (e * e)) for a in self.alpha)
         k = max(self.p, self.q)
@@ -337,13 +337,13 @@ def _recursion_rows(spec, g_list, c_list, rows, values, states, strict):
     B, T = rows.shape
     n = T - m
     scan = m == 1 and len(c_list) == 1
-    unit = _BLOCK if scan else 16  # a tile is a whole number of these, about 1 MiB of state
+    unit = BLOCK if scan else 16  # a tile is a whole number of these, about 1 MiB of state
     width = min(n, unit * max(1, 2**20 // (8 * unit * B)))
     carry, diverged = states.T.copy(), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s0 in range(0, n, width):
             w = min(width, n - s0)
-            span = min(w, _BLOCK) if scan else w
+            span = min(w, BLOCK) if scan else w
             carry, bad = _tile(
                 spec, g_list, c_list, rows[:, s0 : s0 + m + w], values[:, s0 : s0 + w], carry, span, scan and s0 > 0
             )
@@ -365,15 +365,10 @@ def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
     (span, K, B) mask of bad states."""
     m = carry.shape[0]
     B, w = out.shape
-    K = -(-w // span)
-    full, r = w // span, w - (K - 1) * span  # whole blocks; steps in the last block
-    e = np.empty((m + span, K, B))  # e[i, k] = eps[:, k * span + i]
+    K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
+    e = np.empty((m + span, K, B))  # e[m + i, k] = eps[:, m + k * span + i]
     e[:m, 0] = eps[:, :m].T
-    if full:
-        e[m:, :full] = eps[:, m : m + full * span].reshape(B, full, span).transpose(2, 1, 0)
-    if full < K:
-        e[m : m + r, full] = eps[:, m + full * span :].T
-        e[m + r :, full] = 0.0  # padding
+    to_blocks(eps[:, m:], e[m:])
     e[:m, 1:] = e[span : span + m, :-1]  # the m times before a block close the block before it
     e = e.reshape(m + span, K * B)
     lam = np.empty((m + span, K * B))  # the m states before each block, then its steps
@@ -406,12 +401,27 @@ def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
     bad[r:, -1] = False  # the padding of a short last block
     x = e[m:]  # X_t = sigma_t eps_t from the tile's copy of the innovations
     x *= np.exp(0.5 * body) if spec.is_exponential else body ** (0.5 / spec.lam_exponent)  # ** is sqrt at 0.5
-    x = x.reshape(span, K, B)
-    if full:
-        out[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)[...] = x[:, :full]
-    if full < K:
-        out[:, full * span :].T[...] = x[:r, full]
+    from_blocks(x.reshape(span, K, B), out)
     return final, bad
+
+
+def to_blocks(rows, blocks):
+    """blocks[i, k] = rows[:, k * span + i] for (B, w) rows and (span, K, B) blocks, 0 past step w."""
+    span, K, B = blocks.shape
+    full, r = divmod(rows.shape[1], span)
+    blocks[:, :full] = rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)
+    if full < K:
+        blocks[:r, full] = rows[:, full * span :].T
+        blocks[r:, full] = 0.0
+
+
+def from_blocks(blocks, rows):
+    """The inverse of ``to_blocks``: rows[:, k * span + i] = blocks[i, k] up to step w."""
+    span, K, B = blocks.shape
+    full, r = divmod(rows.shape[1], span)
+    rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)[...] = blocks[:, :full]
+    if full < K:
+        rows[:, full * span :].T[...] = blocks[:r, full]
 
 
 def _add_block_starts(local, P, start):

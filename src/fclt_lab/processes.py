@@ -286,9 +286,9 @@ def values_from_innovations(
     the starting state: the m GARCH states at the pre-window times, then the
     ARMA delay line of the transposed direct form, max(p, q, 1) entries (see
     ``arma``); ``final_state`` also returns the state after the last
-    step in that layout, from which a split path resumes: bit for bit,
-    except that a scalar GARCH state starts its scan blocks at the split and
-    so agrees to the scan's bound (see ``garch``). With
+    step in that layout, from which a split path resumes: bit for bit for an
+    iid or m > 1 GARCH spec, and to the scan's bound where a scan (scalar
+    GARCH state, ARMA filter) starts its blocks at the split. With
     ``overwrite_input`` the GARCH output is written over ``eps``, which the
     caller must own (the NED draws are shared across k, so they never are).
     """

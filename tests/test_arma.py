@@ -107,9 +107,12 @@ FILTER_SPECS = {
     "arma11": ArmaSpec(phi=(-0.5,), theta=(0.3,)),
     "arma21": ArmaSpec(phi=(-0.5, 0.2), theta=(0.3,)),
     "arma12": ArmaSpec(phi=(-0.5,), theta=(0.3, 0.2)),
+    "ar1_near_unit": ArmaSpec(phi=(-0.999,)),
 }
-# both sides of the 8-row switch between the Python-float rows and the time tiles
-FILTER_SHAPES = [(500,), (1, 500), (3, 4, 60), (8, 300), (9, 300), (8192, 11)]
+# one block of at most BLOCK steps, and many over one tile or several (1 row: 2048 blocks per tile)
+FILTER_SHAPES = [(500,), (1, 500), (3, 4, 60), (8, 300), (9, 300), (8192, 11), (1, 300_000), (3, 100_000)]
+BLOCK = 64  # steps per block of the filter
+FILTER_RTOL = 1e-13  # the bound of the scanned blocks, relative to max |y|
 
 
 def _oracle(spec: ArmaSpec, eps, state):
@@ -132,8 +135,13 @@ def test_filter_matches_lfilter_bit_for_bit(name, shape):
     state = rng.standard_normal(shape[:-1] + (max(spec.p, spec.q, 1),))  # nonzero: the start state matters
     values, final = arma_values_from_innovations(spec, eps, state)
     want_values, want_final = _oracle(spec, eps, state)
-    assert _same_bits(values, want_values)
-    assert _same_bits(final, want_final)
+    if shape[-1] <= BLOCK:  # one block runs in lfilter's order
+        assert _same_bits(values, want_values)
+        assert _same_bits(final, want_final)
+    else:  # the later blocks run from a zero line and are corrected
+        bound = FILTER_RTOL * np.abs(want_values).max()
+        assert values.shape == want_values.shape and np.abs(values - want_values).max() <= bound
+        assert final.shape == want_final.shape and np.abs(final - want_final).max() <= bound
 
 
 @pytest.mark.parametrize("rows", [1, 9])

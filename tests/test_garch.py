@@ -346,7 +346,8 @@ def test_scan_of_one_long_path_matches_the_sequential_recursion():
     eps = NORMAL.sample(stream_generator(31), 1 + 10**6)
     (g,), (c,) = spec.g_transforms(), spec.c_transforms()
     lam, states = spec.state_fixed_point(), []
-    for g_t, c_t in zip(g(eps[:-1]).tolist(), c(eps[:-1]).tolist()):  # sequential, in Python floats
+    gs = np.broadcast_to(g(eps[:-1]), eps[:-1].shape)  # a constant g is a number
+    for g_t, c_t in zip(gs.tolist(), c(eps[:-1]).tolist()):  # sequential, in Python floats
         lam = g_t + c_t * lam
         states.append(lam)
     _assert_near(garch_values_from_innovations(spec, eps), np.sqrt(states) * eps[1:])

@@ -2,16 +2,18 @@
 imports functions and reads module constants when a workload is built, so a
 rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
-never uses, so dead imports cannot pile up unseen. No library module imports
-scipy at module level. Importing the package, and a normal-law GARCH ``check``
-plus ``mc``, iid ``simulate`` plus closed-form ``mc`` or GARCH ``ned-scan``,
-load no scipy module at all; a Student t law loads ``scipy.special`` and none
-of ``scipy.stats``, ``scipy.signal``, ``scipy.integrate`` and
-``scipy.optimize`` (together over a second of start-up), and neither does an
-ARMA or ARMA-GARCH run, whose filter is numpy. No library module names
-``scipy.integrate``, ``quad``, ``scipy.signal`` or ``lfilter``, and only
-``innovations.py`` names its double-exponential rule: every integral against
-the innovation law goes through ``InnovationDist.expect``."""
+never uses, and no private module-level function or constant may go
+unreferenced in ``src/``, so dead imports and leftovers cannot pile up unseen.
+No library module imports scipy at module level. Importing the package, and a
+normal-law GARCH ``check`` plus ``mc``, iid ``simulate`` plus closed-form
+``mc`` or GARCH ``ned-scan``, load no scipy module at all; a Student t law
+loads ``scipy.special`` and none of ``scipy.stats``, ``scipy.signal``,
+``scipy.integrate`` and ``scipy.optimize`` (together over a second of
+start-up), and neither does an ARMA or ARMA-GARCH run, whose filter is numpy.
+No library module names ``scipy.integrate``, ``quad``, ``scipy.signal`` or
+``lfilter``, and only ``innovations.py`` names its double-exponential rule:
+every integral against the innovation law goes through
+``InnovationDist.expect``."""
 
 import ast
 import json
@@ -63,6 +65,43 @@ def test_library_modules_use_every_import():
             if found:
                 unused[name] = found
     assert not unused
+
+
+def _private_module_names(tree: ast.Module) -> list[str]:
+    """The private (``_name``, not dunder) functions and constants a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_module_name_is_referenced():
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    defined, referenced = [], set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            defined += [(name, private) for private in _private_module_names(tree)]
+            referenced |= _referenced_names(tree)
+    assert not [f"{module}: {private}" for module, private in defined if private not in referenced]
 
 
 _INTEGRATOR = re.compile(r"\b_(?:integrate|de_piece|de_nodes)\b")
