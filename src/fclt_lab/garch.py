@@ -15,29 +15,16 @@ recursion, state0 = <g> / (1 - <c>) with <g> = sum_i E[g_i(eps)] and
 discarded; geometric forgetting makes the initialization bias negligible
 relative to Monte Carlo error.
 
-The recursion runs over time tiles of about 1 MiB of state (the width is set by
-the batch width alone; a batch of more than 2048 rows runs in row blocks of 2048).
-Memory is output + O(batch x tile), and the output may overwrite the innovations.
-
-A scalar state (m = 1, with a c transform) follows the affine recursion
-state_t = G_t + C_t state_{t-1} and runs as a block scan (Blelloch 1990; Martin &
-Cundy 2018). The output steps of a call fall into blocks of 64, counted from its
-first output step; a tile holds whole blocks, laid out block-major, so that one
-step of all its blocks is one contiguous vector. Block 0 runs in sequential order
-from the given state. Every later block runs its local recursion from 0 beside P,
-the running product of its C; the block starts then follow in sequence over the
-block ends, S_next = local_end + P_end S, and the states are local + P S. Nothing
-is divided, so C = 0 or an underflowing P needs no special case. Against the
-sequential order this moves the last bits: X agrees with it to 1e-13 relative
-(the tests' bound; measured at most 1.1e-14, at alpha + beta = 0.999). The bits do
-not depend on the batch width, the row blocks, the tiles or a caller's chunks, and
-a call of at most 64 output steps keeps the sequential bits. A call resumed from
-``final_state`` starts its blocks at the split, so it agrees with the
-uninterrupted call to that bound, not bit for bit.
-
-Any other spec (m > 1) runs the step loop over time-major tiles, in the order
-((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ...; its bits do not depend on the
-tiling, and a split path resumes bit for bit.
+The recursion runs over the tiles of ``scan``: memory is the output plus one
+tile, and the output may overwrite the innovations. A scalar state (m = 1, with
+a c transform), state_t = G_t + C_t state_{t-1}, runs as its block scan with
+T = resp = P, the running product of C over a block. Against the sequential
+order this moves the last bits: X agrees with it to 1e-13 relative (the tests'
+bound; measured at most 1.1e-14, at alpha + beta = 0.999). A call of at most 64
+output steps keeps the sequential bits, and one resumed from ``final_state``
+agrees with the uninterrupted call to that bound. Any other spec (m > 1) runs
+the step loop, in the order ((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ...,
+so its bits do not depend on the tiling and a split path resumes bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .innovations import InnovationDist
+from .scan import BLOCK, add_block_starts, from_blocks, tiles, to_blocks
 
 __all__ = [
     "AugGarchSpec",
@@ -68,13 +56,6 @@ MODELS = POLYNOMIAL_MODELS | EXPONENTIAL_MODELS | {"generic"}
 # models whose gamma parameters obey the -1 <= gamma <= 1 restriction
 # (gjr uses the starred parametrization, which is not bounded this way)
 _GAMMA_BOUNDED = frozenset({"apgarch", "agarch", "tgarch", "tsgarch", "vgarch", "ngarch", "egarch"})
-
-# a scalar recursion (m = 1) runs as a block scan over blocks of this many steps;
-# a batch wider than 2^20 // (8 * BLOCK) rows runs in row blocks of that many,
-# so that a one-block tile stays near 1 MiB of state
-BLOCK = 64
-_MAX_BLOCK_ROWS = 2**20 // (8 * BLOCK)
-
 
 def _pow_even(z, exponent: float):
     """z**exponent with exact fast paths for exponents 1 and 2 (z >= 0)."""
@@ -309,60 +290,38 @@ def garch_values_from_innovations(
         raise ParameterError(f"need more than pre_window={m} innovations, got {T}")
 
     rows = eps.reshape(-1, T)
-    B = rows.shape[0]
-    values = rows[:, : T - m] if overwrite_input else np.empty((B, T - m))
+    B, n = rows.shape[0], T - m
+    values = rows[:, :n] if overwrite_input else np.empty((B, n))
     states = np.full((B, m), spec.state_fixed_point()) if state is None else np.reshape(state, (B, m))
-    final, diverged, first_bad = np.empty((B, m)), np.zeros(B, dtype=bool), None
-    for r0 in range(0, B, _MAX_BLOCK_ROWS):  # rows are independent: the bits do not depend on the blocks
-        block = slice(r0, r0 + _MAX_BLOCK_ROWS)
-        try:
-            final[block], diverged[block] = _recursion_rows(
-                spec, g_list, c_list, rows[block], values[block], states[block], strict
-            )
-        except DivergenceError as err:  # report the first offending step over all blocks
-            if first_bad is None or err.step < first_bad.step:
-                first_bad = err
-    if first_bad is not None:
-        raise first_bad
-    values[diverged] = np.nan
-    values = values.reshape(eps.shape[:-1] + (T - m,))
-    return (values, final.reshape(eps.shape[:-1] + (m,))) if final_state else values
-
-
-def _recursion_rows(spec, g_list, c_list, rows, values, states, strict):
-    """The tiled recursion over (B, T) innovation rows into the (B, T - m) ``values``,
-    from the (B, m) pre-window ``states``; returns the (B, m) final states and the
-    rows that diverged (with ``strict``, DivergenceError at the first bad step)."""
-    m = states.shape[1]
-    B, T = rows.shape
-    n = T - m
+    carry, first_bad = states.T.copy(), np.full(B, n)  # first_bad: each row's first bad step, n for none
     scan = m == 1 and len(c_list) == 1
-    unit = BLOCK if scan else 16  # a tile is a whole number of these, about 1 MiB of state
-    width = min(n, unit * max(1, 2**20 // (8 * unit * B)))
-    carry, diverged = states.T.copy(), np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s0 in range(0, n, width):
-            w = min(width, n - s0)
-            span = min(w, BLOCK) if scan else w
-            carry, bad = _tile(
-                spec, g_list, c_list, rows[:, s0 : s0 + m + w], values[:, s0 : s0 + w], carry, span, scan and s0 > 0
+        for block, steps in tiles(B, n, BLOCK if scan else 16):  # the step loop's tiles: whole 16 steps
+            s0, w = steps.start, steps.stop - steps.start
+            if strict and s0 > 0 and (first_bad[block] < n).any():
+                continue  # a later tile of these rows cannot hold an earlier first bad step
+            carry[:, block], bad = _tile(
+                spec, g_list, c_list, rows[block, s0 : s0 + m + w], values[block, steps], carry[:, block],
+                min(w, BLOCK) if scan else w, scan and s0 > 0,
             )
             if bad.any():
-                if strict:
-                    t_first = m + s0 + int(np.argmax(bad.any(axis=2).T))  # block-major to time order
-                    raise DivergenceError(t_first, "non-finite or non-positive volatility state")
-                diverged |= bad.any(axis=(0, 1))
-    return carry.T, diverged
+                at = s0 + np.argmax(bad.transpose(1, 0, 2).reshape(-1, bad.shape[2]), axis=0)  # in time order
+                first_bad[block] = np.minimum(first_bad[block], np.where(bad.any(axis=(0, 1)), at, n))
+    diverged = first_bad < n
+    if strict and diverged.any():
+        raise DivergenceError(m + int(first_bad.min()), "non-finite or non-positive volatility state")
+    values[diverged] = np.nan
+    values = values.reshape(eps.shape[:-1] + (n,))
+    return (values, carry.T.reshape(eps.shape[:-1] + (m,))) if final_state else values
 
 
 def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
     """One tile: the (B, w) values ``out`` from the (B, m + w) innovations ``eps``
     and the (m, B) states ``carry`` before them. The tile runs as K blocks of
-    ``span`` steps (the last may be shorter), laid out block-major, so that one
-    step of every block is one contiguous (K * B) row. Block 0 runs on from
-    ``carry`` unless ``resume``; every other block runs from 0 and is scanned
-    (``_add_block_starts``). Returns the states at the last m steps and the
-    (span, K, B) mask of bad states."""
+    ``span`` steps (the last may be shorter), laid out by ``to_blocks``. Block 0
+    runs on from ``carry`` unless ``resume``; every other block runs from 0 and
+    is scanned (``add_block_starts``). Returns the states at the last m steps
+    and the (span, K, B) mask of bad states."""
     m = carry.shape[0]
     B, w = out.shape
     K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
@@ -378,9 +337,9 @@ def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
     body = lam[m:]
     body[...] = sum(g(e[m - i : m - i + span]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
     C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
-    scanned = resume or K > 1  # some block runs from 0, which only a scan's tile has
-    if scanned:  # P: the product of C over each such block so far
-        C1 = [row[0 if resume else B :] for row in C[0][1]]
+    k0 = 0 if resume else 1  # the first block that runs from 0; only a scan's tile has one
+    if k0 < K:  # P: the product of C over each such block so far
+        C1 = [row[k0 * B :] for row in C[0][1]]
         P = np.empty((span, len(C1[0])))
         P_rows = list(P)
         P_rows[0][...] = C1[0]
@@ -389,11 +348,14 @@ def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
         acc = lam_rows[t]
         for j, Cj in C:  # out= positional: the keyword form costs more per step
             np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
-        if scanned and t > 1:
+        if k0 < K and t > 1:
             np.multiply(C1[t - 1], P_rows[t - 2], P_rows[t - 1])
-    if scanned:
+    if k0 < K:
         del C, C1, P_rows  # C and P are tile-sized: freed before the sigma pass, which sets the peak
-        _add_block_starts(body.reshape(span, K, B), P.reshape(span, -1, B), carry[0] if resume else None)
+        S = np.empty((1, K - k0, B))  # the state before each block that ran from 0
+        S[0, 0] = carry[0] if resume else body[-1, :B]
+        ends = [list(body.reshape(span, K, B)[-1, k0:-1])]
+        add_block_starts(body[:, k0 * B :], ends, [[list(P.reshape(span, -1, B)[-1, :-1])]], [P], S)
         del P
     final = lam[r : r + m].reshape(m, K, B)[:, -1].copy()  # the states at the last m steps
     bad = ~np.isfinite(body) if spec.is_exponential else ~np.isfinite(body) | (body <= 0.0)
@@ -403,40 +365,3 @@ def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
     x *= np.exp(0.5 * body) if spec.is_exponential else body ** (0.5 / spec.lam_exponent)  # ** is sqrt at 0.5
     from_blocks(x.reshape(span, K, B), out)
     return final, bad
-
-
-def to_blocks(rows, blocks):
-    """blocks[i, k] = rows[:, k * span + i] for (B, w) rows and (span, K, B) blocks, 0 past step w."""
-    span, K, B = blocks.shape
-    full, r = divmod(rows.shape[1], span)
-    blocks[:, :full] = rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)
-    if full < K:
-        blocks[:r, full] = rows[:, full * span :].T
-        blocks[r:, full] = 0.0
-
-
-def from_blocks(blocks, rows):
-    """The inverse of ``to_blocks``: rows[:, k * span + i] = blocks[i, k] up to step w."""
-    span, K, B = blocks.shape
-    full, r = divmod(rows.shape[1], span)
-    rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)[...] = blocks[:, :full]
-    if full < K:
-        rows[:, full * span :].T[...] = blocks[:r, full]
-
-
-def _add_block_starts(local, P, start):
-    """Turn the blocks of ``local`` (span, K, B) that ran from 0 into states.
-
-    ``P`` (span, K', B) holds the running products of C over the last K' blocks.
-    Each such block's state is local + P * S, where S is the state before the
-    block: ``start`` for block 0 when K' = K, otherwise the last state of the
-    block before. Only the K' block ends pass through a loop.
-    """
-    k0 = local.shape[1] - P.shape[1]
-    S = np.empty(P.shape[1:])
-    S[0] = local[-1, 0] if start is None else start
-    ends, P_ends, S_rows, tmp = list(local[-1, k0:]), list(P[-1]), list(S), np.empty(S.shape[1])
-    for k in range(1, len(S_rows)):  # S_k = local_end + P_end * S_{k-1}: the state closing block k - 1
-        np.add(ends[k - 1], np.multiply(P_ends[k - 1], S_rows[k - 1], tmp), S_rows[k])
-    P *= S
-    local[:, k0:] += P

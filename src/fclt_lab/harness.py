@@ -60,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ParameterError("reps must be >= 2")
+        if self.chunk_size < 1:
+            raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 < self.p < 1:
             raise ParameterError("p must lie in (0,1)")
         if self.r < 1:

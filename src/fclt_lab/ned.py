@@ -69,6 +69,8 @@ class Functional:
             raise ParameterError(f"unknown functional {self.kind!r}")
         if self.kind == "identity" and self.arg is not None:
             raise ParameterError("identity takes no argument")
+        if self.arg is not None and not math.isfinite(self.arg):
+            raise ParameterError(f"{self.kind} requires a finite argument, got {self.arg}")
         if self.kind == "abs_pow" and (self.arg is None or self.arg <= 0):
             raise ParameterError("abs_pow requires a positive exponent")
         if self.kind == "indicator_leq" and self.arg is None:

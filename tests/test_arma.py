@@ -109,8 +109,11 @@ FILTER_SPECS = {
     "arma12": ArmaSpec(phi=(-0.5,), theta=(0.3, 0.2)),
     "ar1_near_unit": ArmaSpec(phi=(-0.999,)),
 }
-# one block of at most BLOCK steps, and many over one tile or several (1 row: 2048 blocks per tile)
-FILTER_SHAPES = [(500,), (1, 500), (3, 4, 60), (8, 300), (9, 300), (8192, 11), (1, 300_000), (3, 100_000)]
+# one block of at most BLOCK steps, and many over one tile or several (1 row: 2048 blocks per tile);
+# (8193, 11) and (2049, 65) cross a row block (8192 rows of 16 steps, 2048 rows of 64) without and with a scan
+FILTER_SHAPES = [
+    (500,), (1, 500), (3, 4, 60), (8, 300), (9, 300), (8192, 11), (8193, 11), (2049, 65), (1, 300_000), (3, 100_000)
+]
 BLOCK = 64  # steps per block of the filter
 FILTER_RTOL = 1e-13  # the bound of the scanned blocks, relative to max |y|
 

@@ -244,6 +244,13 @@ def test_ned_scan_non_numeric_functional_exits_2(garch_spec_file, capsys):
     _assert_one_line_error(capsys, "abs_pow")
 
 
+@pytest.mark.parametrize("functional", ["abs_pow:nan", "abs_pow:inf", "indicator_leq:inf", "indicator_leq:-inf"])
+def test_ned_scan_non_finite_functional_exits_2(garch_spec_file, capsys, functional):
+    argv = ["ned-scan", "--spec", garch_spec_file, "--functional", functional, "--kmax", "2"]
+    assert main(argv) == 2
+    _assert_one_line_error(capsys, "finite")
+
+
 def _spec_file(tmp_path, garch_spec_file, edit):
     spec = json.loads(open(garch_spec_file).read())
     path = tmp_path / "edited.json"

@@ -269,7 +269,8 @@ def test_kernel_peak_memory_is_output_plus_a_tile():
     assert peak <= 1.25 * values.nbytes + 4 * 2**20
 
 
-# past 2^20 // (8 * 64) = 2048 rows a one-block scan tile would outgrow 1 MiB: row blocks
+# scan.tiles runs row blocks of 2^20 // (8 * unit) rows: 2048 for the scan (unit 64) and 8192 for
+# the step loop of garch22 (unit 16); 65,536 rows span several of either, and row 60,000 lies in a later one
 WIDE_ROWS, WIDE_STEPS = 65_536, 40
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from fclt_lab.arma import ArmaSpec
 from fclt_lab import harness
-from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap
+from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap, trivariate_long_run_cov_mc
 from fclt_lab.errors import ParameterError, RefusalError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.harness import (
@@ -17,6 +17,7 @@ from fclt_lab.harness import (
     run_representation_experiment,
 )
 from fclt_lab.innovations import InnovationDist
+from fclt_lab.ned import Functional, estimate_ned
 from fclt_lab.processes import IidSpec, simulate_batch
 from fclt_lab.truth import Truth, closed_form_truth, truth_from_sample
 
@@ -87,6 +88,23 @@ def test_reports_identical_across_chunk_sizes():
     for run, extra in ((run_clt_experiment, {}), (run_bahadur_experiment, {"n_ladder": (200, 800)})):
         a, b = (run(iid_cfg(reps=300, n=500, chunk_size=size, **extra)) for size in (64, 256))
         assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(b.to_obj(), sort_keys=True)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+@pytest.mark.parametrize("entry", ["ExperimentConfig", "estimate_ned", "trivariate_long_run_cov_mc"])
+def test_chunk_size_below_one_is_refused(entry, chunk_size):
+    # no chunk would run: the estimates would be read from unwritten buffers
+    calls = {
+        "ExperimentConfig": lambda: iid_cfg(chunk_size=chunk_size),
+        "estimate_ned": lambda: estimate_ned(
+            IID, Functional("identity"), 1, redraws=4, samples=8, chunk_size=chunk_size
+        ),
+        "trivariate_long_run_cov_mc": lambda: trivariate_long_run_cov_mc(
+            IID, 0.5, 2, 0.0, 0.4, max_lag=2, n_per_rep=50, n_reps=4, chunk_size=chunk_size
+        ),
+    }
+    with pytest.raises(ParameterError, match="chunk_size must be >= 1"):
+        calls[entry]()
 
 
 def test_fclt_t1_reproduces_clt_exactly():

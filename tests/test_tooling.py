@@ -13,7 +13,8 @@ start-up), and neither does an ARMA or ARMA-GARCH run, whose filter is numpy.
 No library module names ``scipy.integrate``, ``quad``, ``scipy.signal`` or
 ``lfilter``, and only ``innovations.py`` names its double-exponential rule:
 every integral against the innovation law goes through
-``InnovationDist.expect``."""
+``InnovationDist.expect``. Only ``scan.py`` defines the block layout and the
+tile byte budget, and ``garch.py`` and ``arma.py`` import them from it."""
 
 import ast
 import json
@@ -67,8 +68,8 @@ def test_library_modules_use_every_import():
     assert not unused
 
 
-def _private_module_names(tree: ast.Module) -> list[str]:
-    """The private (``_name``, not dunder) functions and constants a module defines at its top level."""
+def _module_names(tree: ast.Module) -> list[str]:
+    """The functions and constants a module defines at its top level."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -76,7 +77,12 @@ def _private_module_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+    return names
+
+
+def _private_module_names(tree: ast.Module) -> list[str]:
+    """The private (``_name``, not dunder) functions and constants a module defines at its top level."""
+    return [n for n in _module_names(tree) if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
@@ -117,6 +123,32 @@ def test_only_innovations_names_the_integrator():
             if lines:
                 found[name] = lines
     assert not found
+
+
+_LAYOUT = {"BLOCK", "tiles", "to_blocks", "from_blocks", "add_block_starts"}
+_TILE_BUDGET = re.compile(r"TILE_BYTES|BLOCK_ROWS|\b2\s*\*\*\s*20\b")
+
+
+def test_only_scan_defines_the_block_layout():
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found, imported = {}, {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                source = fh.read()
+            tree = ast.parse(source)
+            if name == "scan.py":
+                assert _LAYOUT | {"TILE_BYTES"} <= set(_module_names(tree))
+                continue
+            hits = [n for n in _module_names(tree) if n in _LAYOUT or _TILE_BUDGET.search(n)]
+            if name in ("garch.py", "arma.py"):  # the two recursions hold no byte budget of their own
+                hits += [f"line {i}" for i, line in enumerate(source.splitlines(), 1) if _TILE_BUDGET.search(line)]
+                imported[name] = {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                                  and node.module == "scan" for a in node.names}
+            if hits:
+                found[name] = hits
+    assert not found
+    assert imported == {"arma.py": _LAYOUT, "garch.py": _LAYOUT}
 
 
 _QUADRATURE = re.compile(
