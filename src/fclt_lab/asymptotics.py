@@ -30,7 +30,7 @@ from .estimators import (
     sample_quantile,
 )
 from .innovations import InnovationDist
-from .parallel import DEFAULT_CHUNK, run_chunked
+from .parallel import run_chunked
 from .processes import ProcessSpec, simulate_batch
 
 __all__ = [
@@ -352,7 +352,6 @@ def trivariate_long_run_cov_mc(
     n_reps: int = 400,
     seed=0,
     burn_in: int | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> TrivariateLRC:
     """Replication-MC estimate of the trivariate long-run covariance.
@@ -385,7 +384,7 @@ def trivariate_long_run_cov_mc(
         series = _component_series(simulate_batch(spec, n_per_rep, burn_in, seed, range(start, stop)), r, q_true)
         rep_sigma[start:stop] = _long_run_sum(series, max_lag, lag_out=lag_acc[start:stop])
 
-    run_chunked(n_reps, task, chunk_size=chunk_size, threads=threads)
+    run_chunked(n_reps, task, 32 * n_per_rep, threads=threads)  # a row and its (3, n) series
     tail_bound = _geometric_tail_bound(lags, np.linalg.norm(lag_acc.sum(axis=0) / n_reps, axis=(1, 2)), n_per_rep)
 
     rep_scaled = _scale_indicator_row(rep_sigma, f_at_q)

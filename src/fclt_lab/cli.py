@@ -229,7 +229,7 @@ def _cmd_mc(args) -> int:
     n_ladder = _field(cfg_obj, "n_ladder", "config", _integers)
     n = _field(cfg_obj, "n", "config", _integer, int(n_ladder[-1]) if n_ladder else 1000)
     t_grid = _field(cfg_obj, "t_grid", "config", _numbers)
-    se_threshold = float(_field(cfg_obj, "se_threshold", "config", _number, 3.0))
+    se_threshold = float(_field(cfg_obj, "se_threshold", "config", _finite, 3.0))
     max_lag = _field(cfg_obj, "max_lag", "config", _integer, 50)
     tgt = cfg_obj.get("target")
     if isinstance(tgt, dict):

@@ -5,8 +5,9 @@ Each experiment simulates M independent replications (stream (seed, rep)),
 computes the scaled centered estimator pair of every replication at once on
 each (replications x time) chunk, and compares empirical covariances against
 a target with per-entry Monte Carlo standard errors. Replications run in
-fixed-size chunks whose boundaries do not depend on the worker count, so
-reports are byte-identical for any --threads value.
+chunks sized from the byte budget ``parallel.CHUNK_BYTES`` over the row
+length, whose boundaries do not depend on the worker count, so reports are
+byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .asymptotics import Gamma2, bahadur_remainder, representation_gap
 from .conditions import approve, refusal
 from .errors import ParameterError, RefusalError
 from .estimators import centred_abs_moment, partial_sum_process, sample_quantile
-from .parallel import DEFAULT_CHUNK, run_chunked
+from .parallel import run_chunked
 from .processes import ProcessSpec, simulate_batch, spec_fingerprint
 from .truth import Truth
 
@@ -55,21 +56,18 @@ class ExperimentConfig:
     n_ladder: tuple[int, ...] | None = None
     burn_in: int | None = None
     se_threshold: float = 3.0  # pass/fail band in MC standard errors
-    chunk_size: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if self.reps < 2:
             raise ParameterError("reps must be >= 2")
-        if self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 < self.p < 1:
             raise ParameterError("p must lie in (0,1)")
         if self.r < 1:
             raise ParameterError("r must be a positive integer")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
-        if not self.se_threshold > 0:
-            raise ParameterError("se_threshold must be > 0")
+        if not (math.isfinite(self.se_threshold) and self.se_threshold > 0):
+            raise ParameterError(f"se_threshold must be a finite number > 0, got {self.se_threshold}")
 
 
 @dataclass(frozen=True)
@@ -244,14 +242,14 @@ def _simulate_stats(cfg: ExperimentConfig, n: int, stat, threads: int) -> np.nda
     Each chunk simulates one block, and stat owns it: it may overwrite the
     block, which nothing reads after it.
     """
-    parts = [None] * ((cfg.reps + cfg.chunk_size - 1) // cfg.chunk_size)
+    parts = {}  # keyed by chunk start
 
     def task(start, stop):
         values = simulate_batch(cfg.spec, n, cfg.burn_in, cfg.seed, range(start, stop))
-        parts[start // cfg.chunk_size] = stat(values)
+        parts[start] = stat(values)
 
-    run_chunked(cfg.reps, task, chunk_size=cfg.chunk_size, threads=threads)
-    return np.concatenate(parts)
+    run_chunked(cfg.reps, task, 8 * n, threads=threads)
+    return np.concatenate([parts[start] for start in sorted(parts)])
 
 
 # --- experiments ------------------------------------------------------------------

@@ -53,7 +53,7 @@ __all__ = [
 DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
 DEFAULT_PRE_WINDOW = 200  # unused here; perfbench/workloads.py reads it for ned_garch's nominal step count
-_BLOCK_BYTES = 2**23  # default size of one sample chunk's draws and coupled rows, and of a bank block
+_BLOCK_BYTES = 2**23  # size of one bank block's draws and values; the blocks fix the bank's draw order
 _BANK_STREAM = 2**32 - 1  # the bank's stream (seed, _BANK_STREAM); outer sample indices stay below it
 
 
@@ -153,7 +153,7 @@ def _last_values(spec, m, start, suffix):
     return np.ascontiguousarray(values_from_innovations(spec, eps, state=start[..., m:])[..., -1])
 
 
-def _scans(spec, functionals, k_values, redraws, samples, seed, chunk_size=None, threads=1):
+def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
     """One NedScan per functional over ``k_values``, all from one bank and one
     draw per outer sample (the layout of the module docstring)."""
     ks = [int(k) for k in k_values]
@@ -173,8 +173,6 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, chunk_size=None,
     block = max(1, _BLOCK_BYTES // (16 * max(lead, 1)))  # bank rows per draw: their innovations and values
     draws = (dist.sample(rng, (min(block, samples - lo), lead)) for lo in range(0, samples, block))
     bank = np.concatenate([_end_states(spec, m, eps) for eps in draws])
-    if chunk_size is None:
-        chunk_size = max(1, _BLOCK_BYTES // (8 * (lead + kmax + 1 + redraws * (bank.shape[1] + m + kmax + 1))))
     d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
 
     def task(start, stop):
@@ -198,7 +196,8 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, chunk_size=None,
                 d_all[f, j, 0, start:stop] = d
                 d_all[f, j, 1, start:stop] = d - inner_var / redraws
 
-    run_chunked(samples, task, chunk_size=chunk_size, threads=threads)
+    row_bytes = 8 * (lead + kmax + 1 + redraws * (bank.shape[1] + m + kmax + 1))  # a sample's draws and coupled rows
+    run_chunked(samples, task, row_bytes, threads=threads)
     scans = []
     for functional, d_f in zip(functionals, d_all):
         by_k = dict(zip(grid, map(_estimate, d_f)))
@@ -228,18 +227,15 @@ def estimate_ned(
     redraws: int = DEFAULT_REDRAWS,
     samples: int = DEFAULT_SAMPLES,
     seed=0,
-    chunk_size: int | None = None,
     threads: int = 1,
 ) -> NedEstimate:
     """Coupling estimate of nu(k) for the given functional of the process.
 
     This is a scan of the single width k (module docstring). Consistent
     (R, N -> infinity) and upward-biased by Var_inner/R; the corrected value
-    removes that bias. ``chunk_size`` outer samples share one block of draws
-    and coupled rows (default: a block of about 8 MiB); the result does not
-    depend on it or on ``threads``.
+    removes that bias. The result does not depend on ``threads``.
     """
-    scan = _scans(spec, [functional], [k], redraws, samples, seed, chunk_size, threads)[0]
+    scan = _scans(spec, [functional], [k], redraws, samples, seed, threads=threads)[0]
     [(k, nu_hat, se, nu_hat_jk)] = scan.to_rows()
     return NedEstimate(k=k, nu_hat=nu_hat, se=se, nu_hat_jk=nu_hat_jk, redraws=redraws, samples=samples)
 

@@ -1,7 +1,9 @@
 """Deterministic chunked execution.
 
-Work over replications is split into fixed-size chunks whose boundaries do
-not depend on the worker count; each chunk writes into preallocated slots
+Work over replications is split into chunks sized from one byte budget,
+``CHUNK_BYTES``, over the bytes of one replication's work, so a chunk holds
+about ``max(CHUNK_BYTES, one row)`` whatever the row length. The boundaries
+do not depend on the worker count; each chunk writes into preallocated slots
 keyed by replication index, so results are byte-identical for any number of
 threads.
 """
@@ -10,16 +12,19 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ParameterError
-
-DEFAULT_CHUNK = 256
+CHUNK_BYTES = 2**25
 
 
-def run_chunked(total: int, task, chunk_size: int = DEFAULT_CHUNK, threads: int = 1):
-    """Call ``task(start, stop)`` over fixed chunk ranges covering [0, total)."""
-    if chunk_size < 1:  # no chunk would run, and the caller's buffers would stay unwritten
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    ranges = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+def run_chunked(total: int, task, row_bytes: int, threads: int = 1):
+    """Call ``task(start, stop)`` over chunk ranges covering [0, total).
+
+    ``row_bytes`` is the memory of one unit of work. The chunk count is
+    ``ceil(total * row_bytes / CHUNK_BYTES)``, at most ``total`` and at
+    least one, and chunk sizes differ by at most one.
+    """
+    count = max(1, min(total, -(-total * row_bytes // CHUNK_BYTES)))
+    bounds = [total * i // count for i in range(count + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
     if threads is None or threads <= 1 or len(ranges) <= 1:
         for a, b in ranges:
             task(a, b)

@@ -378,7 +378,7 @@ def path_to_csv(path_or_values, fileobj, comments: list[str] | None = None):
 
 
 def path_from_csv(fileobj) -> np.ndarray:
-    """Read a single-column CSV produced by path_to_csv (skips # comments)."""
+    """Read a single-column CSV produced by path_to_csv (skips # comments, refuses non-finite values)."""
     values = []
     header_seen = False
     for lineno, raw in enumerate(fileobj, start=1):
@@ -391,9 +391,12 @@ def path_from_csv(fileobj) -> np.ndarray:
             header_seen = True
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ParameterError(f"line {lineno}: expected a number, got {line!r}") from None
+        if not math.isfinite(value):
+            raise ParameterError(f"line {lineno}: expected a finite number, got {line!r}")
+        values.append(value)
     if not header_seen:
         raise ParameterError("missing CSV header 'x'")
     return np.asarray(values, dtype=np.float64)

@@ -164,16 +164,16 @@ def pilot_truth(
     """High-accuracy MC pilot: pools independent stationary paths to n draws.
 
     The ``PILOT_PATHS`` = 64 paths of ceil(n / 64) values each, path i from the
-    stream ``(seed, i)``, are simulated as one block, so the volatility
-    recursion runs once over the whole block; the first n values of the
-    row-major block are pooled. Memory peaks in the simulation, which holds
-    the block and the innovations, which the GARCH output overwrites, about
-    2 x 8n bytes (for ARMA-GARCH also the ARMA filter output, 3 x 8n); the
-    statistics hold the pooled sample and one n-sized temporary. Entries with
-    exact closed forms (mean / a_r under symmetry, the GARCH variance) are
-    taken instead of estimated, with provenance recorded. When the driving
-    noise is discrete, ``f_at_q`` is left as None, so a run that needs the
-    density refuses.
+    stream ``(seed, i)``, fill one block, simulated in chunks of paths of
+    about ``parallel.CHUNK_BYTES`` (one chunk up to n of about 4 x 10^6); the
+    first n values of the row-major block are pooled. Memory peaks in the
+    simulation, which holds the block and a chunk's innovations, which the
+    GARCH output overwrites, at most 2 x 8n bytes (for ARMA-GARCH also the
+    chunk's ARMA filter output, at most 3 x 8n); the statistics hold the
+    pooled sample and one n-sized temporary. Entries with exact closed forms
+    (mean / a_r under symmetry, the GARCH variance) are taken instead of
+    estimated, with provenance recorded. When the driving noise is discrete,
+    ``f_at_q`` is left as None, so a run that needs the density refuses.
     """
     if n < 1:
         raise ParameterError(f"pilot n must be >= 1, got {n}")
@@ -183,8 +183,7 @@ def pilot_truth(
     def task(start, stop):
         values[start:stop] = simulate_batch(spec, per_path, burn_in, seed, range(start, stop))
 
-    # one chunk: a recursion step costs about the same at 8 rows as at 64
-    run_chunked(PILOT_PATHS, task, chunk_size=PILOT_PATHS)
+    run_chunked(PILOT_PATHS, task, 8 * per_path)
     pooled = values.ravel()[:n]
     fp = hashlib.sha256(
         json.dumps(

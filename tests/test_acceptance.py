@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fclt_lab as fl
+from fclt_lab import parallel
 from fclt_lab.asymptotics import gamma_target_with_se
 from fclt_lab.conditions import check_polynomial_condition, check_spec, table_closed_form_report
 from fclt_lab.harness import ExperimentConfig
@@ -294,8 +295,11 @@ def test_criterion_8_closed_form_oracle_equivalence():
     assert _line("C8 closed form vs oracle", ok and has_note, f"worst rel diff={worst:.2e} garch r=2 note={has_note}")
 
 
-def test_criterion_9_thread_determinism(garch_truth):
-    # byte-identical reports for the same master seed and different --threads
+def test_criterion_9_thread_determinism(garch_truth, monkeypatch):
+    # byte-identical reports for the same master seed and different --threads;
+    # a 512 KiB chunk budget splits the clt run into 8 chunks of 32, the fclt
+    # run into 2 of 64 and the target into 4 of 16
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**19)
     results = []
     for threads in (1, 3):
         cfg = ExperimentConfig(
@@ -307,7 +311,6 @@ def test_criterion_9_thread_determinism(garch_truth):
             seed=(MASTER_SEED, 9),
             truth=garch_truth,
             target=None,
-            chunk_size=64,
         )
         clt = fl.run_clt_experiment(cfg, threads=threads)
         fcfg = ExperimentConfig(
@@ -319,7 +322,6 @@ def test_criterion_9_thread_determinism(garch_truth):
             seed=(MASTER_SEED, 91),
             truth=closed_form_truth(AR1, 0.9, 1),
             t_grid=(0.5, 1.0),
-            chunk_size=32,
         )
         fclt = fl.run_fclt_experiment(fcfg, threads=threads)
         lrc = fl.trivariate_long_run_cov_mc(
@@ -332,7 +334,6 @@ def test_criterion_9_thread_determinism(garch_truth):
             n_per_rep=1000,
             n_reps=64,
             seed=(MASTER_SEED, 92),
-            chunk_size=16,
             threads=threads,
         )
         results.append(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fclt_lab import parallel
 from fclt_lab.asymptotics import (
     Gamma2,
     TrivariateLRC,
@@ -191,22 +192,24 @@ def test_mc_reports_truncation_tail_bound():
     assert iid.tail_bound == 0.0  # no dependence beyond the noise floor
 
 
-def test_mc_reproducible_across_threads():
+def test_mc_reproducible_across_threads(monkeypatch):
     spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
-    kw = dict(q_true=0.0, f_at_q=0.4, max_lag=3, n_per_rep=500, n_reps=64, seed=17, chunk_size=16)
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**18)  # 64 rows of 32 x 500 bytes: 4 chunks of 16
+    kw = dict(q_true=0.0, f_at_q=0.4, max_lag=3, n_per_rep=500, n_reps=64, seed=17)
     a = trivariate_long_run_cov_mc(spec, 0.5, 2, threads=1, **kw)
     b = trivariate_long_run_cov_mc(spec, 0.5, 2, threads=4, **kw)
     assert np.array_equal(a.sigma, b.sigma)
     assert np.array_equal(a.mc_se, b.mc_se)
 
 
-def test_mc_tail_bound_independent_of_chunks_and_threads():
+def test_mc_tail_bound_independent_of_chunks_and_threads(monkeypatch):
     spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
     kw = dict(q_true=0.0, f_at_q=0.4, max_lag=30, n_per_rep=3000, n_reps=24, seed=19)
-    runs = [
-        trivariate_long_run_cov_mc(spec, 0.5, 2, chunk_size=chunk, threads=threads, **kw)
-        for chunk, threads in ((24, 1), (5, 1), (5, 2), (7, 2))
-    ]
+    runs = []
+    # rows of 32 x 3000 bytes: 2, 5, 5 and 9 chunks
+    for budget, threads in ((2**21, 1), (2**19, 1), (2**19, 2), (2**18, 2)):
+        monkeypatch.setattr(parallel, "CHUNK_BYTES", budget)
+        runs.append(trivariate_long_run_cov_mc(spec, 0.5, 2, threads=threads, **kw))
     assert runs[0].tail_bound is not None and runs[0].tail_bound > 0.0
     for run in runs[1:]:
         assert run.tail_bound == runs[0].tail_bound

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -304,6 +305,15 @@ def test_estimate_csv_row_not_a_number_exits_2(tmp_path, capsys):
     _assert_one_line_error(capsys, "line 4")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_csv_row_not_finite_exits_2(tmp_path, capsys, value):
+    # a NaN would reach the output as "m_hat": NaN, which is not JSON
+    sample = tmp_path / "sample.csv"
+    sample.write_text(f"x\n1.0\n{value}\n2.0\n")
+    assert main(["estimate", "--input", str(sample), "--p", "0.5", "--r", "2"]) == 2
+    _assert_one_line_error(capsys, "line 3")
+
+
 @pytest.mark.parametrize("kmax", ["0", "-3"])
 def test_ned_scan_empty_k_grid_exits_2(garch_spec_file, capsys, kmax):
     assert main(["ned-scan", "--spec", garch_spec_file, "--kmax", kmax]) == 2
@@ -367,6 +377,16 @@ def test_mc_malformed_config_field_exits_2(garch_spec_file, tmp_path, capsys, ed
     cfg_path.write_text(json.dumps(cfg))
     assert main(["mc", "--config", str(cfg_path)]) == 2
     _assert_one_line_error(capsys, "config must be" if field is None else f"config.{field} must be")
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+def test_mc_non_finite_se_threshold_exits_2(garch_spec_file, tmp_path, capsys, threshold):
+    # an infinite band would pass every entry at any z
+    cfg = {"spec": json.loads((tmp_path / "garch.json").read_text()), "n": 50, "reps": 4, "truth": TRUTH}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg | {"se_threshold": threshold}))  # Infinity, -Infinity, NaN
+    assert main(["mc", "--config", str(cfg_path)]) == 2
+    _assert_one_line_error(capsys, "config.se_threshold must be a finite number")
 
 
 @pytest.mark.parametrize("entry", ["q_true", "f_at_q", "a_r"])

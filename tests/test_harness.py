@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fclt_lab.arma import ArmaSpec
-from fclt_lab import harness
-from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap, trivariate_long_run_cov_mc
+from fclt_lab import harness, parallel
+from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap
 from fclt_lab.errors import ParameterError, RefusalError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.harness import (
@@ -17,7 +17,6 @@ from fclt_lab.harness import (
     run_representation_experiment,
 )
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.ned import Functional, estimate_ned
 from fclt_lab.processes import IidSpec, simulate_batch
 from fclt_lab.truth import Truth, closed_form_truth, truth_from_sample
 
@@ -75,36 +74,24 @@ def test_refusal_without_truth():
         run_clt_experiment(cfg)
 
 
-def test_reports_identical_across_thread_counts():
-    cfg = iid_cfg(reps=128, n=500, chunk_size=32)
+def test_reports_identical_across_thread_counts(monkeypatch):
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**17)  # 128 rows of 4000 bytes: 4 chunks of 32
+    cfg = iid_cfg(reps=128, n=500)
     a = run_clt_experiment(cfg, threads=1)
     b = run_clt_experiment(cfg, threads=4)
     assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(b.to_obj(), sort_keys=True)
 
 
-def test_reports_identical_across_chunk_sizes():
+def test_reports_identical_across_chunk_sizes(monkeypatch):
     # each replication's statistic is computed from its own row, whatever
-    # block the row arrives in
+    # block the row arrives in: the clt run (rows of 4000 bytes) in 5 chunks
+    # and in 2, the ladder (rows of 6400 bytes at its longest rung) in 8 and in 2
     for run, extra in ((run_clt_experiment, {}), (run_bahadur_experiment, {"n_ladder": (200, 800)})):
-        a, b = (run(iid_cfg(reps=300, n=500, chunk_size=size, **extra)) for size in (64, 256))
-        assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(b.to_obj(), sort_keys=True)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -3])
-@pytest.mark.parametrize("entry", ["ExperimentConfig", "estimate_ned", "trivariate_long_run_cov_mc"])
-def test_chunk_size_below_one_is_refused(entry, chunk_size):
-    # no chunk would run: the estimates would be read from unwritten buffers
-    calls = {
-        "ExperimentConfig": lambda: iid_cfg(chunk_size=chunk_size),
-        "estimate_ned": lambda: estimate_ned(
-            IID, Functional("identity"), 1, redraws=4, samples=8, chunk_size=chunk_size
-        ),
-        "trivariate_long_run_cov_mc": lambda: trivariate_long_run_cov_mc(
-            IID, 0.5, 2, 0.0, 0.4, max_lag=2, n_per_rep=50, n_reps=4, chunk_size=chunk_size
-        ),
-    }
-    with pytest.raises(ParameterError, match="chunk_size must be >= 1"):
-        calls[entry]()
+        reports = []
+        for budget in (2**18, 2**20):
+            monkeypatch.setattr(parallel, "CHUNK_BYTES", budget)
+            reports.append(json.dumps(run(iid_cfg(reps=300, n=500, **extra)).to_obj(), sort_keys=True))
+        assert reports[0] == reports[1]
 
 
 def test_fclt_t1_reproduces_clt_exactly():
@@ -175,7 +162,7 @@ def test_config_validation():
         ExperimentConfig(spec=IID, p=1.5, r=2, n=100, reps=10, seed=1, truth=truth)
     with pytest.raises(ParameterError):
         ExperimentConfig(spec=IID, p=0.5, r=0, n=100, reps=10, seed=1, truth=truth)
-    for threshold in (0.0, -1.0):
+    for threshold in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="se_threshold"):
             ExperimentConfig(spec=IID, p=0.5, r=2, n=100, reps=10, seed=1, truth=truth, se_threshold=threshold)
 
@@ -214,8 +201,9 @@ def _counting_simulate_batch(monkeypatch, mutate=None):
 
 def test_ladder_simulates_one_block_per_chunk(monkeypatch):
     calls = _counting_simulate_batch(monkeypatch)
-    run_bahadur_experiment(iid_cfg(reps=300, chunk_size=128, n_ladder=(400, 800, 200)))
-    assert calls == [(800, range(0, 128)), (800, range(128, 256)), (800, range(256, 300))]
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 128 * 6400)  # 300 rows of 6400 bytes: 3 chunks of 100
+    run_bahadur_experiment(iid_cfg(reps=300, n_ladder=(400, 800, 200)))
+    assert calls == [(800, range(0, 100)), (800, range(100, 200)), (800, range(200, 300))]
 
 
 def _rung_by_rung(cfg, stat):
@@ -276,3 +264,27 @@ def test_bahadur_ladder_peak_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * block + 8 * 2**20, peak / block  # the block plus a tile's temporaries
+
+
+def test_ladder_peak_memory_follows_the_chunk_budget_not_n(monkeypatch):
+    # with a 2 MiB budget the longest rungs 10^4 and 10^5 run as 3 and 25
+    # chunks; one chunk of all 64 rows at 10^5 would hold about 51 MB
+    import tracemalloc
+
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**21)
+    for top in (10_000, 100_000):
+        cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(top // 10, top), burn_in=1000)
+        tracemalloc.start()
+        try:
+            run_bahadur_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * max(parallel.CHUNK_BYTES, 8 * top), (top, peak)
+
+
+def test_bahadur_ladder_with_a_million_step_rung_runs_in_two_chunks(monkeypatch):
+    calls = _counting_simulate_batch(monkeypatch)
+    table = run_bahadur_experiment(ladder_cfg(GARCH11, reps=8, n_ladder=(10_000, 1_000_000)))
+    assert calls == [(1_000_000, range(0, 4)), (1_000_000, range(4, 8))]  # 8 rows of 8 MB in 32 MiB chunks
+    assert table.used == (8, 8) and all(map(math.isfinite, table.median + table.p90 + table.std))

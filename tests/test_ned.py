@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fclt_lab import parallel
 from fclt_lab.arma import ArmaSpec
 from fclt_lab.errors import NonCausalError, ParameterError
 from fclt_lab.garch import AugGarchSpec, default_burn_in
@@ -116,9 +117,10 @@ def test_estimate_ned_rejects_non_causal():
         estimate_ned(ArmaSpec(phi=(-1.2,)), IDENTITY, 2, redraws=8, samples=64, seed=1)
 
 
-def test_estimate_ned_deterministic_and_thread_stable():
-    a = estimate_ned(AR1, IDENTITY, 3, redraws=16, samples=512, seed=50, chunk_size=64, threads=1)
-    b = estimate_ned(AR1, IDENTITY, 3, redraws=16, samples=512, seed=50, chunk_size=64, threads=4)
+def test_estimate_ned_deterministic_and_thread_stable(monkeypatch):
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**19)  # 512 rows of 8672 bytes: 9 chunks
+    a = estimate_ned(AR1, IDENTITY, 3, redraws=16, samples=512, seed=50, threads=1)
+    b = estimate_ned(AR1, IDENTITY, 3, redraws=16, samples=512, seed=50, threads=4)
     assert a == b
 
 
@@ -203,12 +205,13 @@ def test_estimate_ned_is_a_scan_of_one_k():
     )
 
 
-def test_scan_independent_of_threads_and_chunk_size():
+def test_scan_independent_of_threads_and_chunk_size(monkeypatch):
     fn = Functional("abs_pow", 2.0)
-    runs = [
-        estimate_ned(ARMA_GARCH, fn, 4, redraws=5, samples=40, seed=3, chunk_size=c, threads=t)
-        for c, t in [(None, 1), (1, 1), (7, 1), (7, 2), (16, 2)]
-    ]
+    runs = []
+    # 40 rows of 8408 bytes: 2, 40 (one row each), 6, 6 and 3 chunks
+    for budget, threads in [(2**18, 1), (1, 1), (2**16, 1), (2**16, 2), (2**17, 2)]:
+        monkeypatch.setattr(parallel, "CHUNK_BYTES", budget)
+        runs.append(estimate_ned(ARMA_GARCH, fn, 4, redraws=5, samples=40, seed=3, threads=threads))
     assert all(r == runs[0] for r in runs[1:])
     one = ned_scan(ARMA_GARCH, fn, range(6), redraws=5, samples=40, seed=3, threads=1)
     two = ned_scan(ARMA_GARCH, fn, range(6), redraws=5, samples=40, seed=3, threads=2)

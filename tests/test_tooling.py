@@ -14,7 +14,9 @@ No library module names ``scipy.integrate``, ``quad``, ``scipy.signal`` or
 ``lfilter``, and only ``innovations.py`` names its double-exponential rule:
 every integral against the innovation law goes through
 ``InnovationDist.expect``. Only ``scan.py`` defines the block layout and the
-tile byte budget, and ``garch.py`` and ``arma.py`` import them from it."""
+tile byte budget, and ``garch.py`` and ``arma.py`` import them from it. Only
+``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
+module names a chunk size, reads the budget or binds a name for a chunk."""
 
 import ast
 import json
@@ -149,6 +151,42 @@ def test_only_scan_defines_the_block_layout():
                 found[name] = hits
     assert not found
     assert imported == {"arma.py": _LAYOUT, "garch.py": _LAYOUT}
+
+
+_CHUNK_KNOB = re.compile(r"\bchunk_size\b|\bDEFAULT_CHUNK\b")
+
+
+def _bound_names(tree: ast.Module) -> list[str]:
+    """The variables and parameters a module binds, at any depth."""
+    return [
+        node.arg if isinstance(node, ast.arg) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def test_only_parallel_sizes_chunks():
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                source = fh.read()
+            tree = ast.parse(source)
+            hits = [f"line {i}" for i, line in enumerate(source.splitlines(), 1) if _CHUNK_KNOB.search(line)]
+            if name == "parallel.py":
+                assert "CHUNK_BYTES" in _module_names(tree)
+            else:
+                hits += [n for n in _bound_names(tree) if "chunk" in n.lower()]  # a chunk size or bound
+                hits += sorted({"CHUNK_BYTES"} & _referenced_names(tree))  # the budget, read or imported
+            if hits:
+                found[name] = hits
+    assert not found
+    with open(os.path.join(src, "parallel.py")) as fh:
+        parallel = ast.parse(fh.read())
+    [run_chunked] = [node for node in parallel.body if getattr(node, "name", None) == "run_chunked"]
+    # perfbench/tracer.py reads a positional threads after row_bytes
+    assert [a.arg for a in run_chunked.args.args] == ["total", "task", "row_bytes", "threads"]
 
 
 _QUADRATURE = re.compile(
