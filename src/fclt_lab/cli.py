@@ -41,10 +41,10 @@ from .ned import DEFAULT_REDRAWS, DEFAULT_SAMPLES, Functional, ned_scan
 from .processes import (
     _field,
     _finite,
+    _finites,
     _integer,
     _integers,
     _number,
-    _numbers,
     _object,
     _required,
     _seed,
@@ -228,7 +228,7 @@ def _cmd_mc(args) -> int:
     reps = _field(cfg_obj, "reps", "config", _integer, 100)
     n_ladder = _field(cfg_obj, "n_ladder", "config", _integers)
     n = _field(cfg_obj, "n", "config", _integer, int(n_ladder[-1]) if n_ladder else 1000)
-    t_grid = _field(cfg_obj, "t_grid", "config", _numbers)
+    t_grid = _field(cfg_obj, "t_grid", "config", _finites)
     se_threshold = float(_field(cfg_obj, "se_threshold", "config", _finite, 3.0))
     max_lag = _field(cfg_obj, "max_lag", "config", _integer, 50)
     tgt = cfg_obj.get("target")

@@ -31,6 +31,7 @@ __all__ = [
     "empirical_cdf",
     "estimator_vector",
     "partial_sum_process",
+    "checked_t_grid",
 ]
 
 
@@ -135,6 +136,18 @@ def estimator_vector(path_or_values, p: float, r: int) -> EstimatePair:
     )
 
 
+def checked_t_grid(t_grid) -> tuple[float, ...]:
+    """The grid as floats: non-empty, strictly increasing inside (0, 1]."""
+    grid = tuple(float(t) for t in t_grid)
+    if not grid:
+        raise ParameterError("t_grid must be non-empty")
+    if any(not 0.0 < t <= 1.0 for t in grid):
+        raise ParameterError("t_grid values must lie in (0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("t_grid must be strictly increasing")
+    return grid
+
+
 def partial_sum_process(path_or_values, p: float, r: int, t_grid) -> list[EstimatePair]:
     """Estimator pairs on the prefixes of length floor(n t), one per grid point.
 
@@ -144,13 +157,7 @@ def partial_sum_process(path_or_values, p: float, r: int, t_grid) -> list[Estima
     x = _values(path_or_values)
     _check_p(p)
     _check_r(r)
-    grid = [float(t) for t in t_grid]
-    if not grid:
-        raise ParameterError("t_grid must be non-empty")
-    if any(not 0.0 < t <= 1.0 for t in grid):
-        raise ParameterError("t_grid values must lie in (0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("t_grid must be strictly increasing")
+    grid = checked_t_grid(t_grid)
     n = x.shape[-1]
     out = []
     for t in grid:

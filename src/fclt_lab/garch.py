@@ -15,16 +15,14 @@ recursion, state0 = <g> / (1 - <c>) with <g> = sum_i E[g_i(eps)] and
 discarded; geometric forgetting makes the initialization bias negligible
 relative to Monte Carlo error.
 
-The recursion runs over the tiles of ``scan``: memory is the output plus one
-tile, and the output may overwrite the innovations. A scalar state (m = 1, with
-a c transform), state_t = G_t + C_t state_{t-1}, runs as its block scan with
-T = resp = P, the running product of C over a block. Against the sequential
-order this moves the last bits: X agrees with it to 1e-13 relative (the tests'
-bound; measured at most 1.1e-14, at alpha + beta = 0.999). A call of at most 64
-output steps keeps the sequential bits, and one resumed from ``final_state``
-agrees with the uninterrupted call to that bound. Any other spec (m > 1) runs
-the step loop, in the order ((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ...,
-so its bits do not depend on the tiling and a split path resumes bit for bit.
+The recursion runs as ``scan.linear_scan`` on the tiles of ``scan``, one path
+for every spec: memory is the output plus a few tiles, and the output may
+overwrite the innovations. Against the sequential order
+((G_t + C_1 state_{t-1}) + C_2 state_{t-2}) + ... this moves the last bits: X
+agrees with it to 1e-13 relative (the tests' bound; measured at most 7.6e-15,
+at persistence 0.999). A call of at most 64 output steps keeps the sequential
+bits, and one resumed from ``final_state`` agrees with the uninterrupted call
+to that bound.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .innovations import InnovationDist
-from .scan import BLOCK, add_block_starts, from_blocks, tiles, to_blocks
+from .scan import BLOCK, from_blocks, lagged_blocks, linear_scan, tiles
 
 __all__ = [
     "AugGarchSpec",
@@ -98,6 +96,8 @@ class AugGarchSpec:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        if not np.isfinite([self.omega, *self.alpha, *self.beta, *self.gamma, self.delta or 0.0]).all():
+            raise ParameterError("omega, alpha, beta, gamma and delta must be finite")
         if self.model == "generic":
             if not self.g_funcs and not self.c_funcs:
                 raise ParameterError("generic model requires g_funcs and/or c_funcs")
@@ -272,11 +272,11 @@ def garch_values_from_innovations(
     the lag window (the states there are held at the fixed point, or given as
     ``state`` (..., m)) and the returned values X_t = sigma_t eps_t have shape
     (..., T - m), row-major. ``final_state`` also returns the states at the
-    last m times, from which a split path resumes (bit for bit when m > 1;
-    see the module docstring). Memory is the output plus one time tile of
-    state. With ``overwrite_input`` the output is the view
-    ``eps[..., :T - m]``: each tile writes only innovations it has already
-    copied, so a caller that owns ``eps`` holds one block. A non-finite or
+    last m times, from which a split path resumes (see the module
+    docstring). Memory is the output plus a few time tiles. With
+    ``overwrite_input`` the output is the view ``eps[..., :T - m]``: each
+    tile writes only innovations it has already copied, so a caller that
+    owns ``eps`` holds one block. A non-finite or
     non-positive state raises DivergenceError naming the first offending step;
     with ``strict=False`` the affected batch rows come back as NaN so a caller
     can quarantine them individually.
@@ -294,15 +294,13 @@ def garch_values_from_innovations(
     values = rows[:, :n] if overwrite_input else np.empty((B, n))
     states = np.full((B, m), spec.state_fixed_point()) if state is None else np.reshape(state, (B, m))
     carry, first_bad = states.T.copy(), np.full(B, n)  # first_bad: each row's first bad step, n for none
-    scan = m == 1 and len(c_list) == 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for block, steps in tiles(B, n, BLOCK if scan else 16):  # the step loop's tiles: whole 16 steps
+        for block, steps in tiles(B, n):
             s0, w = steps.start, steps.stop - steps.start
             if strict and s0 > 0 and (first_bad[block] < n).any():
                 continue  # a later tile of these rows cannot hold an earlier first bad step
             carry[:, block], bad = _tile(
-                spec, g_list, c_list, rows[block, s0 : s0 + m + w], values[block, steps], carry[:, block],
-                min(w, BLOCK) if scan else w, scan and s0 > 0,
+                spec, g_list, c_list, rows[block, s0 : s0 + m + w], values[block, steps], carry[:, block], s0 > 0
             )
             if bad.any():
                 at = s0 + np.argmax(bad.transpose(1, 0, 2).reshape(-1, bad.shape[2]), axis=0)  # in time order
@@ -315,48 +313,22 @@ def garch_values_from_innovations(
     return (values, carry.T.reshape(eps.shape[:-1] + (m,))) if final_state else values
 
 
-def _tile(spec, g_list, c_list, eps, out, carry, span, resume):
+def _tile(spec, g_list, c_list, eps, out, carry, resume):
     """One tile: the (B, w) values ``out`` from the (B, m + w) innovations ``eps``
-    and the (m, B) states ``carry`` before them. The tile runs as K blocks of
-    ``span`` steps (the last may be shorter), laid out by ``to_blocks``. Block 0
-    runs on from ``carry`` unless ``resume``; every other block runs from 0 and
-    is scanned (``add_block_starts``). Returns the states at the last m steps
-    and the (span, K, B) mask of bad states."""
+    and the (m, B) states ``carry`` before them, by ``linear_scan`` on blocks of
+    ``span`` steps (the last may be shorter); block 0 runs on from ``carry``
+    unless ``resume``. Returns the states at the last m steps and the
+    (span, K, B) mask of bad states."""
     m = carry.shape[0]
     B, w = out.shape
+    span = min(w, max(BLOCK, m))
     K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
-    e = np.empty((m + span, K, B))  # e[m + i, k] = eps[:, m + k * span + i]
-    e[:m, 0] = eps[:, :m].T
-    to_blocks(eps[:, m:], e[m:])
-    e[:m, 1:] = e[span : span + m, :-1]  # the m times before a block close the block before it
-    e = e.reshape(m + span, K * B)
-    lam = np.empty((m + span, K * B))  # the m states before each block, then its steps
-    lam[:m] = 0.0
-    if not resume:
-        lam[:m, :B] = carry
+    e = lagged_blocks(eps[:, :m], eps[:, m:], span)  # e[m + i, kB:(k + 1)B] = eps[:, m + k * span + i]
+    lam = np.empty(e.shape)  # the m states before each block, then its steps
+    lam[:m, :B] = carry
     body = lam[m:]
-    body[...] = sum(g(e[m - i : m - i + span]) for i, g in enumerate(g_list, start=1))  # from 0, in lag order
-    C = [(j, list(np.broadcast_to(c(e), e.shape))) for j, c in enumerate(c_list, start=1)]
-    k0 = 0 if resume else 1  # the first block that runs from 0; only a scan's tile has one
-    if k0 < K:  # P: the product of C over each such block so far
-        C1 = [row[k0 * B :] for row in C[0][1]]
-        P = np.empty((span, len(C1[0])))
-        P_rows = list(P)
-        P_rows[0][...] = C1[0]
-    lam_rows, tmp = list(lam), np.empty(K * B)
-    for t in range(m, m + span):
-        acc = lam_rows[t]
-        for j, Cj in C:  # out= positional: the keyword form costs more per step
-            np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
-        if k0 < K and t > 1:
-            np.multiply(C1[t - 1], P_rows[t - 2], P_rows[t - 1])
-    if k0 < K:
-        del C, C1, P_rows  # C and P are tile-sized: freed before the sigma pass, which sets the peak
-        S = np.empty((1, K - k0, B))  # the state before each block that ran from 0
-        S[0, 0] = carry[0] if resume else body[-1, :B]
-        ends = [list(body.reshape(span, K, B)[-1, k0:-1])]
-        add_block_starts(body[:, k0 * B :], ends, [[list(P.reshape(span, -1, B)[-1, :-1])]], [P], S)
-        del P
+    body[...] = sum(g(e[m - i : m - i + span]) for i, g in enumerate(g_list, start=1))  # in lag order
+    linear_scan(lam, [np.broadcast_to(c(e), e.shape) for c in c_list], m, B, resume)
     final = lam[r : r + m].reshape(m, K, B)[:, -1].copy()  # the states at the last m steps
     bad = ~np.isfinite(body) if spec.is_exponential else ~np.isfinite(body) | (body <= 0.0)
     bad = bad.reshape(span, K, B)

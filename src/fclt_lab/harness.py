@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import Gamma2, bahadur_remainder, representation_gap
 from .conditions import approve, refusal
 from .errors import ParameterError, RefusalError
-from .estimators import centred_abs_moment, partial_sum_process, sample_quantile
+from .estimators import centred_abs_moment, checked_t_grid, partial_sum_process, sample_quantile
 from .parallel import run_chunked
 from .processes import ProcessSpec, simulate_batch, spec_fingerprint
 from .truth import Truth
@@ -281,7 +281,7 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
     if not cfg.t_grid:
         raise ParameterError("fclt experiment needs a t_grid")
     _refuse_if_inadmissible(cfg)
-    grid = tuple(float(t) for t in cfg.t_grid)
+    grid = checked_t_grid(cfg.t_grid)  # before the fractions: a NaN or infinite t has no floor
     if grid[-1] != 1.0:
         grid = grid + (1.0,)
     truth = cfg.truth

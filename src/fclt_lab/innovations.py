@@ -72,6 +72,8 @@ class InnovationDist:
         if self.kind == "student_t":
             if self.dof is None:
                 raise ParameterError("student_t innovations require dof")
+            if not math.isfinite(self.dof):
+                raise ParameterError(f"student_t dof must be finite, got {self.dof}")
             if not self.dof > 2:
                 raise ParameterError(f"student_t dof must be > 2 for unit variance, got {self.dof}")
             if self.dof <= 4:

@@ -81,7 +81,7 @@ def _innovation_to_obj(dist: InnovationDist) -> dict:
 
 def _innovation_from_obj(obj, where: str) -> InnovationDist:
     obj = _object(obj, where)
-    return InnovationDist(kind=obj.get("kind"), dof=_field(obj, "dof", where, _number))
+    return InnovationDist(kind=obj.get("kind"), dof=_field(obj, "dof", where, _finite))
 
 
 # --- validation of spec fields: a malformed one raises ParameterError naming it
@@ -118,10 +118,10 @@ def _finite(value):
     return value
 
 
-def _numbers(value) -> tuple:
+def _finites(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError(value)
-    return tuple(_number(v) for v in value)
+    return tuple(_finite(v) for v in value)
 
 
 def _integers(value) -> tuple:
@@ -142,7 +142,7 @@ _EXPECTED = {
     _number: "a number",
     _finite: "a finite number",
     _integer: "an integer",
-    _numbers: "a list of numbers",
+    _finites: "a list of finite numbers",
     _integers: "a non-empty list of integers",
     _seed: "an integer or a non-empty list of integers",
 }
@@ -217,19 +217,19 @@ def _spec_from_obj(obj, where: str) -> ProcessSpec:
         else:
             innovation = _innovation_from_obj(inn, where + ".innovation")
         return ArmaSpec(
-            phi=_field(obj, "phi", where, _numbers, ()),
-            theta=_field(obj, "theta", where, _numbers, ()),
+            phi=_field(obj, "phi", where, _finites, ()),
+            theta=_field(obj, "theta", where, _finites, ()),
             innovation=innovation,
         )
     spec = AugGarchSpec(
         model=model,
         p=_field(obj, "p", where, _integer, 1),
         q=_field(obj, "q", where, _integer, 0),
-        omega=float(_field(obj, "omega", where, _number, 0.0)),
-        alpha=_field(obj, "alpha", where, _numbers, ()),
-        beta=_field(obj, "beta", where, _numbers, ()),
-        gamma=_field(obj, "gamma", where, _numbers, ()),
-        delta=_field(obj, "delta", where, _number),
+        omega=float(_field(obj, "omega", where, _finite, 0.0)),
+        alpha=_field(obj, "alpha", where, _finites, ()),
+        beta=_field(obj, "beta", where, _finites, ()),
+        gamma=_field(obj, "gamma", where, _finites, ()),
+        delta=_field(obj, "delta", where, _finite),
         innovation=_innovation_from_obj(obj.get("innovation"), where + ".innovation"),
     )
     lam = _lambda(spec)
@@ -284,11 +284,11 @@ def values_from_innovations(
     ``strict=False`` diverging volatility states give NaN rows instead of
     raising, so batch callers can quarantine them. ``state`` (..., S) replaces
     the starting state: the m GARCH states at the pre-window times, then the
-    ARMA delay line of the transposed direct form, max(p, q, 1) entries (see
-    ``arma``); ``final_state`` also returns the state after the last
+    ARMA state, the last q innovations and the last p values in time order
+    (see ``arma``); ``final_state`` also returns the state after the last
     step in that layout, from which a split path resumes: bit for bit for an
-    iid or m > 1 GARCH spec, and to the scan's bound where a scan (scalar
-    GARCH state, ARMA filter) starts its blocks at the split. With
+    iid spec, and to the scan's bound otherwise, as the scan starts its blocks
+    at the split. With
     ``overwrite_input`` the GARCH output is written over ``eps``, which the
     caller must own (the NED draws are shared across k, so they never are).
     """
@@ -299,7 +299,7 @@ def values_from_innovations(
         return garch_values_from_innovations(spec, eps, strict, state, final_state, overwrite_input)
     if isinstance(spec, ArmaSpec):
         inner = spec.innovation if isinstance(spec.innovation, AugGarchSpec) else IidSpec(spec.innovation)
-        zero = np.zeros(np.shape(eps)[:-1] + (max(spec.p, spec.q, 1),))
+        zero = np.zeros(np.shape(eps)[:-1] + (spec.q + spec.p,))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
         u, lead = values_from_innovations(inner, eps, strict, lead, True, overwrite_input)
         values, rest = arma_values_from_innovations(spec, u, rest)

@@ -1,40 +1,45 @@
-"""Block-major tiles and the block scan shared by the two linear recursions.
+"""Block-major tiles and the one block scan of the package's linear recursions.
 
-The scalar volatility recursion of ``garch`` (state_t = G_t + C_t state_{t-1})
-and the delay line of the ARMA filter in ``arma`` are linear in a carried
-state, and both run as a block scan (Blelloch 1990; Martin & Cundy 2018) on
-one layout, with one tile policy and one pass over the block ends.
+The volatility recursion of ``garch``, state_t = G_t + sum_j C_j(t) state_{t-j},
+and the AR part of the ARMA filter in ``arma``, y_t = u_t + sum_j (-phi_j)
+y_{t-j}, are linear in a carried state, and both run as ``linear_scan``, an
+affine block scan (Blelloch 1990; Martin & Cundy 2018), on one layout with one
+tile policy.
 
-``tiles(B, n, unit)`` cuts a (B, n) batch into row blocks of
-TILE_BYTES // (8 unit) rows, and each row block into time tiles of whole
-``unit`` steps, about TILE_BYTES of state per buffer. The steps of a call fall
+``tiles(B, n)`` cuts a (B, n) batch into row blocks of TILE_BYTES // (8 unit)
+rows, and each row block into time tiles of whole units, about TILE_BYTES of
+state per buffer, with unit = max(16, min(n, BLOCK)). The steps of a call fall
 into blocks of BLOCK, counted from its first step, and a tile holds whole
-blocks, laid out block-major by ``to_blocks`` as (span, K, B): one step of all
-K blocks is one contiguous vector and one ufunc call. Rows are independent, so
-neither the row blocks nor the tiles move a bit.
+blocks, laid out block-major by ``lagged_blocks`` as (L + span, K B), each
+block after its L lag rows: one step of all K blocks is one contiguous vector
+and one ufunc call. Rows are independent, so neither the row blocks nor the
+tiles move a bit.
 
 Block 0 of a call runs on from the given state; every later block, block 0 of
-a later tile included, runs from a zero state. The state before each such
-block then follows in sequence over the block ends,
-S_k = end_{k-1} + T_{k-1} S_{k-1}, and the block's values gain resp S_k
-(``add_block_starts``). Nothing is divided, so a zero or underflowing factor
-needs no special case, and only the block ends pass through a Python loop.
-The sums run in lag order with elementwise ufuncs: a BLAS matmul may round
-differently by shape.
+a later tile included, runs from a zero state, beside its responses R_i to a
+unit state i + 1 steps before it. The states before each such block then
+follow in sequence over the block ends, S_k = end_{k-1} + T_{k-1} S_{k-1} with
+T the responses at the block's last steps, and the block's values gain
+sum_i R_i S_k,i (``add_block_starts``). For one lag, R is the running product
+of C over the block, and a constant C gives a (span, 1) R. Nothing is
+divided, so a zero or underflowing factor needs no special case, and only the
+block ends pass through a Python loop. The sums run in lag order with
+elementwise ufuncs: a BLAS matmul may round differently by shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK", "tiles", "to_blocks", "from_blocks", "add_block_starts"]
+__all__ = ["BLOCK", "tiles", "lagged_blocks", "from_blocks", "linear_scan"]
 
 BLOCK = 64  # steps per block of the scan
 TILE_BYTES = 2**20  # size of one buffer of a tile
 
 
-def tiles(B: int, n: int, unit: int):
+def tiles(B: int, n: int):
     """The (rows, steps) slices of a (B, n) batch, row block by row block, each in time order."""
+    unit = max(16, min(n, BLOCK))
     step = TILE_BYTES // (8 * unit)
     for r0 in range(0, B, step):
         rows = min(step, B - r0)
@@ -43,23 +48,77 @@ def tiles(B: int, n: int, unit: int):
             yield slice(r0, r0 + rows), slice(s0, min(s0 + width, n))
 
 
-def to_blocks(rows, blocks):
-    """blocks[i, k] = rows[:, k * span + i] for (B, w) rows and (span, K, B) blocks, 0 past step w."""
-    span, K, B = blocks.shape
-    full, r = divmod(rows.shape[1], span)
-    blocks[:, :full] = rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)
+def lagged_blocks(lead, rows, span):
+    """The (B, w) ``rows`` block-major as (L + span, K * B), 0 past step w: the
+    column group of block k holds the L values before it, then its ``span``
+    steps; the (B, L) ``lead`` holds the values before block 0."""
+    (B, L), w = lead.shape, rows.shape[1]
+    K = -(-w // span)
+    out = np.empty((L + span, K, B))
+    out[:L, 0] = lead.T
+    full, r = divmod(w, span)
+    out[L:, :full] = rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)
     if full < K:
-        blocks[:r, full] = rows[:, full * span :].T
-        blocks[r:, full] = 0.0
+        out[L : L + r, full] = rows[:, full * span :].T
+        out[L + r :, full] = 0.0
+    out[:L, 1:] = out[span : span + L, :-1]
+    return out.reshape(L + span, K * B)
 
 
 def from_blocks(blocks, rows):
-    """The inverse of ``to_blocks``: rows[:, k * span + i] = blocks[i, k] up to step w."""
+    """The inverse of ``lagged_blocks`` without lag rows: rows[:, k * span + i] = blocks[i, k] up to step w."""
     span, K, B = blocks.shape
     full, r = divmod(rows.shape[1], span)
     rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)[...] = blocks[:, :full]
     if full < K:
         rows[:, full * span :].T[...] = blocks[:r, full]
+
+
+def linear_scan(lam, C, m, B, resume):
+    """Run state_t = lam_t + sum_j C[j - 1][t - j] state_{t-j} in place, in lag
+    order j, over the block-major tile ``lam`` (m + span, K * B): each block's
+    first m rows hold the states before it, the rest its forcing. Block 0 runs
+    on from the (m, B) states in lam[:m, :B] unless ``resume``; every other
+    block runs from 0. Each C[j - 1] is a 2-d array over lam's rows, K * B
+    wide or, for a constant, 1 wide. Afterwards every block's first m rows
+    hold its true preceding states, so span >= m when K > 1."""
+    d, span, K = len(C), lam.shape[0] - m, lam.shape[1] // B
+    k0 = 0 if resume else 1  # the first block that runs from 0
+    carry = lam[:m, :B].copy() if resume else None
+    lam[:m, k0 * B :] = 0.0
+    # a constant as a float: an array-scalar ufunc call costs the least
+    C_rows = [Cj[:, 0].tolist() if Cj.shape[1] == 1 else list(Cj) for Cj in C]
+    scan = d > 0 and k0 < K
+    if scan:  # R[i]: the response to a unit state i + 1 steps before a block, on lam's rows
+        Cr = [rows if k0 == 0 or Cj.shape[1] == 1 else list(Cj[:, k0 * B :]) for rows, Cj in zip(C_rows, C)]
+        R = np.empty((d, m + span, 1 if all(Cj.shape[1] == 1 for Cj in C) else (K - k0) * B))
+        R[:, :m] = np.eye(d, m)[:, ::-1, None]
+        R_tmp, rest = np.empty(R.shape[2]), [(j, Cr[j - 1]) for j in range(2, d + 1)]  # the lags after the first
+    R_rows = [list(Ri) for Ri in R] if scan else []
+    lam_rows, tmp, terms = list(lam), np.empty(lam.shape[1]), list(enumerate(C_rows, start=1))
+    for t in range(m, m + span):  # out= positional: the keyword form costs more per step
+        acc = lam_rows[t]
+        for j, Cj in terms:
+            np.add(acc, np.multiply(Cj[t - j], lam_rows[t - j], tmp), acc)
+        for Ri in R_rows:  # for d = 1, R is the running product of C over the block
+            np.multiply(Cr[0][t - 1], Ri[t - 1], Ri[t])
+            for j, Crj in rest:
+                np.add(Ri[t], np.multiply(Crj[t - j], Ri[t - j], R_tmp), Ri[t])
+    if scan:
+        ends = lam.reshape(m + span, K, B)[: m + span - d - 1 : -1]  # each block's last d states, latest first
+        S = np.empty((d, K - k0, B))  # the d states before each block that ran from 0, latest first
+        S[:, 0] = carry[m - d :][::-1] if resume else ends[:, 0]
+        T = [[_per_block(Rj[m + span - 1 - i], K - k0 - 1, B) for Rj in R] for i in range(d)]
+        add_block_starts(lam[m:, k0 * B :], [list(end[k0:-1]) for end in ends], T, list(R[:, m:]), S)
+    if K > 1 and m:
+        lam[:m].reshape(m, K, B)[:, 1:] = lam[span : span + m].reshape(m, K, B)[:, :-1]
+    if resume:
+        lam[:m, :B] = carry
+
+
+def _per_block(row, n, B):
+    """The first n blocks' (B,) parts of a response row, or n times a (1,) row."""
+    return [row] * n if len(row) == 1 else list(row.reshape(-1, B)[:n])
 
 
 def add_block_starts(values, ends, T, resp, S):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 from fclt_lab.arma import ArmaSpec, arma_values_from_innovations, causal_ma_coefficients
 from fclt_lab.conditions import approve
@@ -119,10 +119,18 @@ FILTER_RTOL = 1e-13  # the bound of the scanned blocks, relative to max |y|
 
 
 def _oracle(spec: ArmaSpec, eps, state):
-    delays = max(spec.p, spec.q, 1)
+    """lfilter's values from the (..., q + p) state, which lfiltic turns into
+    its delay line, and the final state in the filter's layout."""
+    delays, q = max(spec.p, spec.q, 1), spec.q
     b = np.r_[1.0, spec.theta, np.zeros(delays - spec.q)]
     a = np.r_[1.0, spec.phi, np.zeros(delays - spec.p)]
-    return lfilter(b, a, eps, axis=-1, zi=state)
+    rows = state.reshape(-1, state.shape[-1])
+    zi = np.reshape([lfiltic(b, a, row[q:][::-1], row[:q][::-1]) for row in rows], state.shape[:-1] + (delays,))
+    values = lfilter(b, a, eps, axis=-1, zi=zi)[0]
+    lags = np.concatenate([state[..., :q], eps], axis=-1)
+    past = np.concatenate([state[..., q:], values], axis=-1)
+    final = np.concatenate([lags[..., lags.shape[-1] - q :], past[..., past.shape[-1] - spec.p :]], axis=-1)
+    return values, final
 
 
 def _same_bits(x, y):
@@ -135,13 +143,13 @@ def test_filter_matches_lfilter_bit_for_bit(name, shape):
     spec = FILTER_SPECS[name]
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
     eps = rng.standard_normal(shape)
-    state = rng.standard_normal(shape[:-1] + (max(spec.p, spec.q, 1),))  # nonzero: the start state matters
+    state = rng.standard_normal(shape[:-1] + (spec.q + spec.p,))  # nonzero: the start state matters
     values, final = arma_values_from_innovations(spec, eps, state)
     want_values, want_final = _oracle(spec, eps, state)
-    if shape[-1] <= BLOCK:  # one block runs in lfilter's order
+    if shape[-1] <= BLOCK and spec.p == 1 and spec.q == 0:  # one AR(1) block runs in lfilter's order
         assert _same_bits(values, want_values)
         assert _same_bits(final, want_final)
-    else:  # the later blocks run from a zero line and are corrected
+    else:  # u = Theta(L) x first, and later blocks run from zero and are corrected
         bound = FILTER_RTOL * np.abs(want_values).max()
         assert values.shape == want_values.shape and np.abs(values - want_values).max() <= bound
         assert final.shape == want_final.shape and np.abs(final - want_final).max() <= bound
@@ -149,12 +157,12 @@ def test_filter_matches_lfilter_bit_for_bit(name, shape):
 
 @pytest.mark.parametrize("rows", [1, 9])
 def test_filter_single_steps_carry_both_delays(rows):
-    # T = 1 with two delays: the state alone carries the path, step after step
+    # T = 1 with three lags: the state alone carries the path, step after step
     spec = FILTER_SPECS["arma21"]
     rng = np.random.default_rng(5)
     eps = rng.standard_normal((rows, 40))
-    state = rng.standard_normal((rows, 2))
-    want_values, want_final = _oracle(spec, eps, state)
+    state = rng.standard_normal((rows, 3))
+    want_values, want_final = arma_values_from_innovations(spec, eps, state)
     steps = []
     for t in range(eps.shape[1]):
         value, state = arma_values_from_innovations(spec, eps[:, t : t + 1], state)
@@ -169,7 +177,7 @@ def test_filter_peak_memory_is_output_plus_a_few_mib():
 
     spec = FILTER_SPECS["arma11"]
     eps = np.random.default_rng(6).standard_normal((64, 156_251))
-    state = np.zeros((64, 1))
+    state = np.zeros((64, 2))
     tracemalloc.start()
     try:
         values, _ = arma_values_from_innovations(spec, eps, state)

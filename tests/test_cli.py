@@ -389,6 +389,38 @@ def test_mc_non_finite_se_threshold_exits_2(garch_spec_file, tmp_path, capsys, t
     _assert_one_line_error(capsys, "config.se_threshold must be a finite number")
 
 
+ARMA = {"model": "arma", "phi": [-0.3], "theta": [], "innovation": {"kind": "standard_normal"}}
+
+
+@pytest.mark.parametrize(
+    "command, edit, field",
+    [
+        ("mc", {"t_grid": [math.nan, 1.0]}, "config.t_grid"),
+        ("mc", {"t_grid": [math.inf]}, "config.t_grid"),
+        ("simulate", ARMA | {"theta": [math.inf]}, "spec.theta"),
+        ("simulate", {"innovation": {"kind": "student_t", "dof": math.inf}}, "spec.innovation.dof"),
+        ("check", ARMA | {"phi": [math.nan]}, "spec.phi"),
+        ("check", {"alpha": [math.nan]}, "spec.alpha"),
+        ("check", {"omega": math.inf}, "spec.omega"),
+        ("check", {"model": "pgarch", "delta": math.inf}, "spec.delta"),
+    ],
+    ids=["t_grid-nan", "t_grid-inf", "theta-inf", "dof-inf", "phi-nan", "alpha-nan", "omega-inf", "delta-inf"],
+)
+def test_non_finite_field_exits_2(garch_spec_file, tmp_path, capsys, command, edit, field):
+    # JSON's NaN and Infinity are malformed input: not a traceback, a refusal or a CSV of nan
+    spec = json.loads(open(garch_spec_file).read())
+    path = tmp_path / "edited.json"
+    if command == "mc":
+        path.write_text(json.dumps({"spec": spec, "experiment": "fclt", "n": 50, "reps": 4, "truth": TRUTH} | edit))
+        argv = ["mc", "--config", str(path)]
+    else:
+        path.write_text(json.dumps((ARMA if edit.get("model") == "arma" else spec) | edit))
+        tail = ["--r", "1"] if command == "check" else ["--n", "8", "--out", str(tmp_path / "x.csv")]
+        argv = [command, "--spec", str(path)] + tail
+    assert main(argv) == 2
+    _assert_one_line_error(capsys, f"{field} must be")
+
+
 @pytest.mark.parametrize("entry", ["q_true", "f_at_q", "a_r"])
 def test_mc_replication_target_incomplete_truth_refuses(garch_spec_file, tmp_path, capsys, entry):
     truth = {k: v for k, v in TRUTH.items() if k != entry}

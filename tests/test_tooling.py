@@ -14,7 +14,9 @@ No library module names ``scipy.integrate``, ``quad``, ``scipy.signal`` or
 ``lfilter``, and only ``innovations.py`` names its double-exponential rule:
 every integral against the innovation law goes through
 ``InnovationDist.expect``. Only ``scan.py`` defines the block layout and the
-tile byte budget, and ``garch.py`` and ``arma.py`` import them from it. Only
+tile byte budget, and ``garch.py`` and ``arma.py`` import them from it; it
+alone defines the one in-block recursion, ``linear_scan``, and its block-end
+pass, and ``tiles`` takes no unit: it derives one from the path length. Only
 ``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
 module names a chunk size, reads the budget or binds a name for a chunk."""
 
@@ -127,7 +129,8 @@ def test_only_innovations_names_the_integrator():
     assert not found
 
 
-_LAYOUT = {"BLOCK", "tiles", "to_blocks", "from_blocks", "add_block_starts"}
+_LAYOUT = {"BLOCK", "tiles", "lagged_blocks", "from_blocks", "linear_scan"}
+_SCAN_ONLY = {"add_block_starts", "linear_scan"}
 _TILE_BUDGET = re.compile(r"TILE_BYTES|BLOCK_ROWS|\b2\s*\*\*\s*20\b")
 
 
@@ -140,9 +143,11 @@ def test_only_scan_defines_the_block_layout():
                 source = fh.read()
             tree = ast.parse(source)
             if name == "scan.py":
-                assert _LAYOUT | {"TILE_BYTES"} <= set(_module_names(tree))
+                assert _LAYOUT | _SCAN_ONLY | {"TILE_BYTES"} <= set(_module_names(tree))
+                [tiles] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "tiles"]
+                assert [a.arg for a in tiles.args.args] == ["B", "n"]
                 continue
-            hits = [n for n in _module_names(tree) if n in _LAYOUT or _TILE_BUDGET.search(n)]
+            hits = [n for n in _module_names(tree) if n in _LAYOUT | _SCAN_ONLY or _TILE_BUDGET.search(n)]
             if name in ("garch.py", "arma.py"):  # the two recursions hold no byte budget of their own
                 hits += [f"line {i}" for i, line in enumerate(source.splitlines(), 1) if _TILE_BUDGET.search(line)]
                 imported[name] = {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
