@@ -144,7 +144,7 @@ def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndar
     lead = np.zeros((B, L))  # the innovations before the call, as lag rows
     lead[:, L - q :] = state[:, :q]
     values, carry = np.empty(rows.shape), state[:, q:].T.copy()  # carry: the (p, B) values before a tile
-    for block, steps in tiles(B, T):
+    for block, steps in tiles(B, T, L):
         b, s0, w = block.stop - block.start, steps.start, steps.stop - steps.start
         span = min(w, max(BLOCK, L))
         K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block

@@ -79,7 +79,9 @@ def sample_quantile(path_or_values, p: float, overwrite_input: bool = False):
     """The ceil(n p)-th order statistic, via expected-linear-time selection.
 
     As in ``np.quantile``, ``overwrite_input`` partitions the caller's array
-    in place instead of a copy; each row keeps its set of values.
+    in place instead of a copy; each row keeps its set of values. The result
+    is a copy either way: it holds neither array alive, and a later partition
+    of the caller's array leaves it unchanged.
     """
     x = _values(path_or_values)
     _check_p(p)
@@ -87,7 +89,7 @@ def sample_quantile(path_or_values, p: float, overwrite_input: bool = False):
     k = min(max(math.ceil(n * p), 1), n)
     part = x if overwrite_input else x.copy(order="K")
     part.partition(k - 1, axis=-1)
-    return _rows(part[..., k - 1])
+    return _rows(part[..., k - 1].copy())
 
 
 def sample_mean(path_or_values):

@@ -295,7 +295,7 @@ def garch_values_from_innovations(
     states = np.full((B, m), spec.state_fixed_point()) if state is None else np.reshape(state, (B, m))
     carry, first_bad = states.T.copy(), np.full(B, n)  # first_bad: each row's first bad step, n for none
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for block, steps in tiles(B, n):
+        for block, steps in tiles(B, n, m):
             s0, w = steps.start, steps.stop - steps.start
             if strict and s0 > 0 and (first_bad[block] < n).any():
                 continue  # a later tile of these rows cannot hold an earlier first bad step

@@ -1,13 +1,18 @@
 """Monte Carlo experiments confronting empirical estimator distributions with
 their theoretical targets.
 
-Each experiment simulates M independent replications (stream (seed, rep)),
-computes the scaled centered estimator pair of every replication at once on
-each (replications x time) chunk, and compares empirical covariances against
-a target with per-entry Monte Carlo standard errors. Replications run in
-chunks sized from the byte budget ``parallel.CHUNK_BYTES`` over the row
-length, whose boundaries do not depend on the worker count, so reports are
-byte-identical for any --threads value.
+Each experiment simulates M independent replications (stream (seed, rep))
+and reads one statistic on prefixes of each replication's path: the clt pair
+on the whole path, the fclt pairs on the prefixes floor(n t), a ladder's
+remainder on every rung. All of them run one path, ``_replications``: each
+(replications x time) chunk is one simulated block at the longest prefix,
+every prefix is a view of it, and a replication with any non-finite entry is
+quarantined. The chunks are sized from the byte budget
+``parallel.CHUNK_BYTES`` over the row length, so memory per chunk is about
+``max(CHUNK_BYTES, one row)`` for every experiment, and their boundaries do
+not depend on the worker count, so reports are byte-identical for any
+--threads value. The empirical covariances are compared against a target
+with per-entry Monte Carlo standard errors.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from .asymptotics import Gamma2, bahadur_remainder, representation_gap
 from .conditions import approve, refusal
 from .errors import ParameterError, RefusalError
-from .estimators import centred_abs_moment, checked_t_grid, partial_sum_process, sample_quantile
+from .estimators import centred_abs_moment, checked_t_grid, sample_quantile
 from .parallel import run_chunked
 from .processes import ProcessSpec, simulate_batch, spec_fingerprint
 from .truth import Truth
@@ -236,20 +241,50 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(desc.encode()).hexdigest()[:16]
 
 
-def _simulate_stats(cfg: ExperimentConfig, n: int, stat, threads: int) -> np.ndarray:
-    """Apply stat to each (B, n) chunk of the M replications; rows stack to (M, ...).
+def _replications(cfg: ExperimentConfig, lengths, stat, threads: int) -> tuple[np.ndarray, int, int]:
+    """The finite rows of stat's prefix table over the M replications, with the used and quarantined counts.
 
-    Each chunk simulates one block, and stat owns it: it may overwrite the
-    block, which nothing reads after it.
+    Each chunk simulates one block at the longest length, and stat gets its
+    prefixes ``values[:, :k]`` for k in the ascending ``lengths`` and returns
+    the chunk's (rows, columns) table. stat owns the block: it may permute a
+    prefix in place, which keeps every longer prefix's set of values. A row
+    with any non-finite entry is quarantined (a diverging path is a NaN row);
+    fewer than two used rows refuse.
     """
     parts = {}  # keyed by chunk start
 
     def task(start, stop):
-        values = simulate_batch(cfg.spec, n, cfg.burn_in, cfg.seed, range(start, stop))
-        parts[start] = stat(values)
+        values = simulate_batch(cfg.spec, lengths[-1], cfg.burn_in, cfg.seed, range(start, stop))
+        parts[start] = stat([values[:, :k] for k in lengths])
 
-    run_chunked(cfg.reps, task, 8 * n, threads=threads)
-    return np.concatenate([parts[start] for start in sorted(parts)])
+    run_chunked(cfg.reps, task, 8 * lengths[-1], threads=threads)
+    table = np.concatenate([parts[start] for start in sorted(parts)])
+    finite = np.isfinite(table).all(axis=1)
+    used = int(finite.sum())
+    if used < 2:
+        raise RefusalError("all replications quarantined (non-finite estimates)")
+    return table[finite], used, cfg.reps - used
+
+
+def _pairs(cfg: ExperimentConfig, grid: tuple[float, ...], threads: int):
+    """The scaled centred pairs sqrt(n) t (theta_k - theta) on the prefixes k = floor(n t) of each
+    replication, as (used, len(grid), 2), with the realized fractions k / n and the counts."""
+    lengths = [math.floor(cfg.n * t) for t in grid]  # ascending, as the grid
+    if lengths[0] < 1:
+        raise ParameterError(f"prefix for t={grid[0]} is empty (n={cfg.n})")
+    fractions = tuple(k / cfg.n for k in lengths)
+    truth, root_n = cfg.truth, math.sqrt(cfg.n)
+
+    def stat(prefixes):
+        moments = [centred_abs_moment(x, cfg.r) for x in prefixes]  # order-dependent sums: on the untouched block
+        cols = []
+        for frac, x, m_hat in zip(fractions, prefixes, moments):
+            q_hat = sample_quantile(x, cfg.p, overwrite_input=True)  # shortest first; see _replications
+            cols += [root_n * frac * (q_hat - truth.q_true), root_n * frac * (m_hat - truth.m_true)]
+        return np.stack(cols, axis=-1)
+
+    y, used, quarantined = _replications(cfg, lengths, stat, threads)
+    return y.reshape(used, len(grid), 2), fractions, used, quarantined
 
 
 # --- experiments ------------------------------------------------------------------
@@ -258,21 +293,8 @@ def _simulate_stats(cfg: ExperimentConfig, n: int, stat, threads: int) -> np.nda
 def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> CltReport:
     """Empirical covariance of the sqrt(n)-scaled centered pair vs its target."""
     _refuse_if_inadmissible(cfg)
-    truth = cfg.truth
-    root_n = math.sqrt(cfg.n)
-
-    def stat(values):  # the moment reads the block before the quantile partitions it in place
-        m_hat = centred_abs_moment(values, cfg.r)
-        q_hat = sample_quantile(values, cfg.p, overwrite_input=True)
-        return np.stack([root_n * (q_hat - truth.q_true), root_n * (m_hat - truth.m_true)], axis=-1)
-
-    y = _simulate_stats(cfg, cfg.n, stat, threads)
-    finite = np.isfinite(y).all(axis=1)
-    used = int(finite.sum())
-    quarantined = cfg.reps - used
-    if used < 2:
-        raise RefusalError("all replications quarantined (non-finite estimates)")
-    return _clt_from_samples(cfg, y[finite], used, quarantined)
+    y, _, used, quarantined = _pairs(cfg, (1.0,), threads)
+    return _clt_from_samples(cfg, y[:, -1], used, quarantined)
 
 
 def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
@@ -284,24 +306,7 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
     grid = checked_t_grid(cfg.t_grid)  # before the fractions: a NaN or infinite t has no floor
     if grid[-1] != 1.0:
         grid = grid + (1.0,)
-    truth = cfg.truth
-    root_n = math.sqrt(cfg.n)
-    fractions = tuple(math.floor(cfg.n * t) / cfg.n for t in grid)
-
-    def stat(values):
-        cols = []
-        for frac, pair in zip(fractions, partial_sum_process(values, cfg.p, cfg.r, grid)):
-            cols.append(root_n * frac * (pair.q_hat - truth.q_true))
-            cols.append(root_n * frac * (pair.m_hat - truth.m_true))
-        return np.stack(cols, axis=-1)
-
-    flat = _simulate_stats(cfg, cfg.n, stat, threads)
-    finite = np.isfinite(flat).all(axis=1)
-    used = int(finite.sum())
-    quarantined = cfg.reps - used
-    if used < 2:
-        raise RefusalError("all replications quarantined (non-finite estimates)")
-    y = flat[finite].reshape(used, len(grid), 2)
+    y, fractions, used, quarantined = _pairs(cfg, grid, threads)
 
     # per-t covariance and the linear-growth z statistic
     cov_by_t = np.empty((len(grid), 2, 2))
@@ -384,40 +389,29 @@ def _run_ladder(cfg: ExperimentConfig, statistic: str, stat, decay_on: str, thre
     """The decay table of stat along the n ladder, from one block per chunk.
 
     Replication rep is the stream (seed, rep) on every rung, so a rung's paths
-    are the prefixes of the longest rung's: each chunk simulates one block at
-    the longest n and stat reads every rung as the prefix ``values[:, :n]``,
-    in ascending n whatever the ladder's order. stat owns the block and may
-    permute a prefix in place (the Bahadur quantile partitions it): every
-    longer prefix keeps its set of values, so a permutation-invariant
-    statistic is unchanged on it. A replication whose path diverges is a NaN
-    row and is quarantined on every rung.
+    are the prefixes of the longest rung's, and stat reads every rung as a
+    prefix of one block, in ascending n whatever the ladder's order (see
+    ``_replications``). A replication whose path diverges is a NaN row and is
+    quarantined on every rung.
     """
     if not cfg.n_ladder:
         raise ParameterError("ladder experiment needs n_ladder")
     ladder = tuple(int(n) for n in cfg.n_ladder)
     if min(ladder) < 1:
         raise ParameterError("n must be >= 1")
-    ascending = sorted(range(len(ladder)), key=ladder.__getitem__)
-
-    def stat_all(values):
-        cols = [None] * len(ladder)
-        for i in ascending:
-            cols[i] = stat(values[:, : ladder[i]])
-        return np.stack(cols, axis=-1)
-
-    table = _simulate_stats(cfg, max(ladder), stat_all, threads)
-    med, p90, std, se, used_n, quar_n = [], [], [], [], [], []
-    for vals in table.T:
-        finite = np.isfinite(vals)
-        used = int(finite.sum())
-        vals = vals[finite]
+    lengths = sorted(ladder)
+    table, used, quarantined = _replications(
+        cfg, lengths, lambda prefixes: np.stack([stat(x) for x in prefixes], axis=-1), threads
+    )
+    columns = dict(zip(lengths, table.T.copy()))  # contiguous columns: the sums run as on a rung of its own
+    med, p90, std, se = [], [], [], []
+    for n in ladder:
+        vals = columns[n]
         a = np.abs(vals)
         med.append(float(np.median(a)))
         p90.append(float(np.percentile(a, 90.0)))
         std.append(float(vals.std(ddof=1)))
-        se.append(float(vals.std(ddof=1) / math.sqrt(max(used, 1))))
-        used_n.append(used)
-        quar_n.append(cfg.reps - used)
+        se.append(std[-1] / math.sqrt(used))
     series = {"median+p90": [tuple(med), tuple(p90)], "std": [tuple(std)]}[decay_on]
     return DecayTable(
         statistic=statistic,
@@ -427,8 +421,8 @@ def _run_ladder(cfg: ExperimentConfig, statistic: str, stat, decay_on: str, thre
         std=tuple(std),
         se=tuple(se),
         verdict=_decay_verdict(series, len(ladder)),
-        used=tuple(used_n),
-        quarantined=tuple(quar_n),
+        used=(used,) * len(ladder),
+        quarantined=(quarantined,) * len(ladder),
         config_fingerprint=_config_fingerprint(cfg),
         pilot_fingerprint=cfg.truth.pilot_fingerprint if cfg.truth else None,
     )
@@ -442,7 +436,7 @@ def run_bahadur_experiment(cfg: ExperimentConfig, threads: int = 1) -> DecayTabl
     _refuse_if_inadmissible(cfg, require=("q_true",))
     truth = cfg.truth
 
-    def stat(values):  # partitions the harness's block in place; see _run_ladder
+    def stat(values):  # partitions the harness's block in place; see _replications
         remainder = bahadur_remainder(values, cfg.p, truth.q_true, truth.f_at_q, overwrite_input=True)
         return math.sqrt(values.shape[-1]) * remainder
 

@@ -6,10 +6,11 @@ y_{t-j}, are linear in a carried state, and both run as ``linear_scan``, an
 affine block scan (Blelloch 1990; Martin & Cundy 2018), on one layout with one
 tile policy.
 
-``tiles(B, n)`` cuts a (B, n) batch into row blocks of TILE_BYTES // (8 unit)
-rows, and each row block into time tiles of whole units, about TILE_BYTES of
-state per buffer, with unit = max(16, min(n, BLOCK)). The steps of a call fall
-into blocks of BLOCK, counted from its first step, and a tile holds whole
+``tiles(B, n, m)`` cuts a (B, n) batch of a recursion of m lags into row
+blocks of TILE_BYTES // (8 unit) rows, and each row block into time tiles of
+whole units, about TILE_BYTES of state per buffer, with
+unit = max(16, min(n, max(BLOCK, m))). The steps of a call fall into blocks
+of max(BLOCK, m), counted from its first step, and a tile holds whole
 blocks, laid out block-major by ``lagged_blocks`` as (L + span, K B), each
 block after its L lag rows: one step of all K blocks is one contiguous vector
 and one ufunc call. Rows are independent, so neither the row blocks nor the
@@ -37,9 +38,10 @@ BLOCK = 64  # steps per block of the scan
 TILE_BYTES = 2**20  # size of one buffer of a tile
 
 
-def tiles(B: int, n: int):
-    """The (rows, steps) slices of a (B, n) batch, row block by row block, each in time order."""
-    unit = max(16, min(n, BLOCK))
+def tiles(B: int, n: int, m: int):
+    """The (rows, steps) slices of a (B, n) batch of an m-lag recursion, row
+    block by row block, each in time order."""
+    unit = max(16, min(n, max(BLOCK, m)))
     step = TILE_BYTES // (8 * unit)
     for r0 in range(0, B, step):
         rows = min(step, B - r0)

@@ -153,14 +153,7 @@ def truth_from_sample(
     return Truth(*(entries[k] for k in TRUTH_ENTRIES), p, r, provenance=tags)
 
 
-def pilot_truth(
-    spec: ProcessSpec,
-    p: float,
-    r: int,
-    seed=0,
-    n: int = PILOT_N,
-    burn_in: int | None = None,
-) -> Truth:
+def pilot_truth(spec: ProcessSpec, p: float, r: int, seed=0, n: int = PILOT_N) -> Truth:
     """High-accuracy MC pilot: pools independent stationary paths to n draws.
 
     The ``PILOT_PATHS`` = 64 paths of ceil(n / 64) values each, path i from the
@@ -181,7 +174,7 @@ def pilot_truth(
     values = np.empty((PILOT_PATHS, per_path))
 
     def task(start, stop):
-        values[start:stop] = simulate_batch(spec, per_path, burn_in, seed, range(start, stop))
+        values[start:stop] = simulate_batch(spec, per_path, None, seed, range(start, stop))
 
     run_chunked(PILOT_PATHS, task, 8 * per_path)
     pooled = values.ravel()[:n]

@@ -155,6 +155,18 @@ def test_filter_matches_lfilter_bit_for_bit(name, shape):
         assert final.shape == want_final.shape and np.abs(final - want_final).max() <= bound
 
 
+def test_seventy_lags_rows_equal_narrower_batches():
+    # blocks are max(BLOCK, max(p, q)) steps, and the tiles hold whole blocks: 1100 rows run tiles
+    # of one 70-step block, one row a single tile, and a 64-step unit would cut blocks at other steps
+    spec = ArmaSpec(phi=(-0.5,), theta=(0.3 / 70,) * 70)
+    rng = np.random.default_rng(7)
+    eps, state = rng.standard_normal((1100, 150)), rng.standard_normal((1100, 71))
+    values, final = arma_values_from_innovations(spec, eps, state)
+    parts = [arma_values_from_innovations(spec, eps[rows], state[rows]) for rows in np.split(np.arange(1100), [1, 300])]
+    assert _same_bits(values, np.concatenate([v for v, _ in parts]))
+    assert _same_bits(final, np.concatenate([f for _, f in parts]))
+
+
 @pytest.mark.parametrize("rows", [1, 9])
 def test_filter_single_steps_carry_both_delays(rows):
     # T = 1 with three lags: the state alone carries the path, step after step

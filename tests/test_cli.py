@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ def test_mc_bahadur_writes_csv_table(tmp_path):
     assert header == "n,median,p90,std,se"
     report = json.loads(out.read_text())
     assert report["report"]["columns"] == ["n", "median", "p90", "std", "se"]
+
+
+def test_committed_clt_garch_config_runs_at_toy_size(tmp_path):
+    # the C3 pipeline as a config: a pilot truth, a replication-MC target and the clt verdicts
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scripts", "clt_garch.json")) as fh:
+        cfg = json.load(fh)
+    assert cfg["target"] == "replication_mc" and cfg["max_lag"] == 50
+    cfg["pilot"]["n"], cfg["reps"], cfg["n"] = 20_000, 24, 400
+    cfg_path, out = tmp_path / "clt_garch.json", tmp_path / "rep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mc", "--config", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert {"sigma", "mc_se", "gamma", "truncation"} <= report["target_long_run_cov"].keys()
+    verdict = report["report"]["verdict"]
+    assert all(v in ("pass", "fail", "inconclusive") for row in verdict for v in row) and len(verdict) == 2
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

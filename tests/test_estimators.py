@@ -40,6 +40,20 @@ def test_quantile_rejects_bad_p():
             sample_quantile(np.array([1.0, 2.0]), p)
 
 
+def test_block_quantile_is_a_copy_of_its_order_statistics():
+    # the rows' values own their memory: they keep no selection buffer alive, and a
+    # later partition of a block partitioned in place cannot rewrite them
+    block = np.random.default_rng(3).standard_normal((8, 500))
+    for overwrite in (False, True):
+        x = block.copy()
+        q = sample_quantile(x, 0.9, overwrite_input=overwrite)
+        assert q.base is None and q.flags.owndata and not np.shares_memory(q, x)
+        kept = q.copy()
+        x.partition(10, axis=-1)
+        assert np.array_equal(q, kept)
+        assert np.array_equal(q, np.sort(block, axis=-1)[:, 449])
+
+
 def test_moment_examples():
     assert centred_abs_moment(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(2 / 3)
     assert centred_abs_moment(np.full(9, 3.7), 5) == 0.0

@@ -399,6 +399,19 @@ def test_scan_rows_equal_narrower_batches_over_several_tiles(name):
         assert err.value.step == 5000
 
 
+# blocks are max(BLOCK, m) steps, and the tiles hold whole blocks: 1100 rows of 70 lags run tiles
+# of one 70-step block, one row a single tile, and a 64-step unit would cut blocks at other steps
+def test_seventy_lags_rows_equal_narrower_batches():
+    spec = AugGarchSpec(
+        model="egarch", p=70, q=1, omega=0.05, alpha=(0.1 / 70,) * 70, beta=(0.8,), gamma=(-0.05,) * 70
+    )
+    eps = np.random.default_rng(4).standard_normal((1100, spec.pre_window + 150))
+    got, got_state = garch_values_from_innovations(spec, eps, final_state=True)
+    parts = [garch_values_from_innovations(spec, eps[rows], final_state=True) for rows in np.split(np.arange(1100), [1, 300])]
+    assert _same_bits(got, np.concatenate([v for v, _ in parts]))
+    assert _same_bits(got_state, np.concatenate([s for _, s in parts]))
+
+
 # --- the output written over its own innovations -----------------------------------
 
 OVERWRITE_SPECS = {

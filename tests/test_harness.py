@@ -113,9 +113,26 @@ def test_fclt_brownian_scaling_iid():
     assert (np.abs(rep.increment_corr_z) <= 3.0).all(), rep.increment_corr_z
 
 
+def test_fclt_peak_memory_is_the_clt_block():
+    # every grid point reads a prefix of the one block: no prefix is copied or kept
+    import tracemalloc
+
+    peaks = []
+    for grid in (None, (0.25, 0.5, 0.75, 1.0)):
+        tracemalloc.start()
+        try:
+            (run_clt_experiment if grid is None else run_fclt_experiment)(iid_cfg(reps=256, n=20_000, t_grid=grid))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
+
+
 def test_fclt_requires_grid():
     with pytest.raises(ParameterError):
         run_fclt_experiment(iid_cfg())
+    with pytest.raises(ParameterError, match="prefix for t=0.05 is empty"):
+        run_fclt_experiment(iid_cfg(n=10, t_grid=(0.05, 0.5)))
 
 
 def test_bahadur_ladder_iid_decreasing():
@@ -244,6 +261,13 @@ def test_ladder_quarantines_a_diverging_replication_on_every_rung(monkeypatch):
         table = run(cfg)
         assert table.used == (39, 39, 39) and table.quarantined == (1, 1, 1)
     assert [n for n, _ in calls] == [2000, 2000]
+
+
+def test_ladder_refuses_when_every_replication_is_quarantined(monkeypatch):
+    monkeypatch.setattr(harness, "simulate_batch", lambda spec, n, burn_in, seed, reps: np.full((len(reps), n), np.nan))
+    for run in (run_bahadur_experiment, run_representation_experiment):
+        with pytest.raises(RefusalError, match="quarantined"):
+            run(ladder_cfg(GARCH11))
 
 
 def test_ladder_rejects_empty_rungs():

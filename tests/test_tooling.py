@@ -16,7 +16,8 @@ every integral against the innovation law goes through
 ``InnovationDist.expect``. Only ``scan.py`` defines the block layout and the
 tile byte budget, and ``garch.py`` and ``arma.py`` import them from it; it
 alone defines the one in-block recursion, ``linear_scan``, and its block-end
-pass, and ``tiles`` takes no unit: it derives one from the path length. Only
+pass, and ``tiles`` takes no unit: it derives one from the path length and
+the recursion's lag count, a property of the spec. Only
 ``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
 module names a chunk size, reads the budget or binds a name for a chunk."""
 
@@ -145,7 +146,7 @@ def test_only_scan_defines_the_block_layout():
             if name == "scan.py":
                 assert _LAYOUT | _SCAN_ONLY | {"TILE_BYTES"} <= set(_module_names(tree))
                 [tiles] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "tiles"]
-                assert [a.arg for a in tiles.args.args] == ["B", "n"]
+                assert [a.arg for a in tiles.args.args] == ["B", "n", "m"]
                 continue
             hits = [n for n in _module_names(tree) if n in _LAYOUT | _SCAN_ONLY or _TILE_BUDGET.search(n)]
             if name in ("garch.py", "arma.py"):  # the two recursions hold no byte budget of their own
