@@ -12,11 +12,14 @@ linear filter applied to the innovation series.
 The MA part u = Theta(L) x runs first, on the whole tile at once; the AR part
 y_t = u_t + sum_i (-phi_i) y_{t-i} then runs as ``scan.linear_scan``, the
 block scan of the volatility recursion, with constant coefficients. The
-carried state is the last q innovations and the last p values. A call of at
-most 64 steps of an AR(1) keeps the bits of SciPy's IIR filter routine (the
-tests' oracle); any other call agrees with it to 1e-13 of the largest value
-(measured at most 4.4e-15, at phi = -0.999), whatever the batch width or
-tiling, and a split path resumes to that bound. No scipy is loaded.
+carried state is the last q innovations and the last p values. Across
+tiles a row also carries its last max(p, q) innovations, so the values can
+be written over the innovations: a caller that owns them holds one block.
+A call of at most 64 steps of an AR(1) keeps the bits of SciPy's IIR filter
+routine (the tests' oracle); any other call agrees with it to 1e-13 of the
+largest value (measured at most 4.4e-15, at phi = -0.999), whatever the
+batch width or tiling, and a split path resumes to that bound. No scipy is
+loaded.
 """
 
 from __future__ import annotations
@@ -130,26 +133,31 @@ def causal_ma_coefficients(spec: ArmaSpec, K: int) -> np.ndarray:
     return psi
 
 
-def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray):
+def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndarray, overwrite_input=False):
     """Causal ARMA filter along the last axis of ``eps`` from the state
     (..., q + p): the last q innovations, then the last p values, in time
     order. Returns (values, final state in that layout), from which a split
-    path resumes to the scan's bound (module docstring)."""
+    path resumes to the scan's bound (module docstring). With
+    ``overwrite_input`` the values are written over ``eps``, which the caller
+    must own: each row's last max(p, q) innovations are carried across tiles,
+    read before a tile's output overwrites them."""
     p, q = spec.p, spec.q
     x = np.asarray(eps, dtype=np.float64)
     T, L = x.shape[-1], max(p, q)
     rows = x.reshape(math.prod(x.shape[:-1]), T)
     B = rows.shape[0]
     state = np.asarray(state, dtype=np.float64).reshape(B, q + p)
-    lead = np.zeros((B, L))  # the innovations before the call, as lag rows
+    lead = np.zeros((B, L))  # each row's innovations before the next tile, as lag rows
     lead[:, L - q :] = state[:, :q]
-    values, carry = np.empty(rows.shape), state[:, q:].T.copy()  # carry: the (p, B) values before a tile
+    values = rows if overwrite_input else np.empty(rows.shape)
+    carry = state[:, q:].T.copy()  # the (p, B) values before a tile
     for block, steps in tiles(B, T, L):
         b, s0, w = block.stop - block.start, steps.start, steps.stop - steps.start
         span = min(w, max(BLOCK, L))
         K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
-        lags = np.concatenate([lead[block, min(s0, L) :], rows[block, max(0, s0 - L) : s0]], axis=1)
-        buf = lagged_blocks(lags, rows[block, steps], span)
+        buf = lagged_blocks(lead[block], rows[block, steps], span)
+        last = rows[block, max(s0, steps.stop - L) : steps.stop]  # read before the copy-out below overwrites it
+        lead[block] = np.concatenate([lead[block, min(w, L) :], last], axis=1)
         if q:  # u_t = x_t + sum_j theta_j x_{t-j}: the sum is taken before any x_t is overwritten
             buf[L:] += sum(theta_j * buf[L - j : L - j + span] for j, theta_j in enumerate(spec.theta, start=1))
         lam = buf[L - p :]  # the AR part runs on u, from the p values before each block
@@ -157,6 +165,5 @@ def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndar
         linear_scan(lam, [np.full((p + span, 1), -phi_j) for phi_j in spec.phi], p, b, s0 > 0)
         carry[:, block] = lam[r : r + p].reshape(p, K, b)[:, -1]
         from_blocks(buf[L:].reshape(span, K, b), values[block, steps])
-    lags = np.concatenate([state[:, :q], rows[:, max(0, T - q) :]], axis=1)
-    final = np.concatenate([lags[:, lags.shape[1] - q :], carry.T], axis=1)
+    final = np.concatenate([lead[:, L - q :], carry.T], axis=1)
     return values.reshape(x.shape), final.reshape(x.shape[:-1] + (q + p,))

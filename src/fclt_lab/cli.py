@@ -185,9 +185,11 @@ def _cmd_ned_scan(args) -> int:
     )
     _emit(_csv_text("k,nu_hat,se,nu_hat_jk", scan.to_rows(), manifest), args.out, manifest)
     if scan.fit is not None:
-        sys.stderr.write(
-            f"fit: {scan.fit.model} rate={scan.fit.rate:.4g} r_squared={scan.fit.r_squared:.4g}\n"
-        )
+        fit = scan.fit
+        line = f"fit: {fit.model} rate={fit.rate:.4g} r_squared={fit.r_squared:.4g}"
+        if fit.other_model is not None:
+            line += f"; {fit.other_model} rate={fit.other_rate:.4g} r_squared={fit.other_r_squared:.4g}"
+        sys.stderr.write(line + "\n")
     return 0
 
 
@@ -353,6 +355,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args)
     except RefusalError as exc:
         sys.stderr.write(f"refused: {exc.reason}\n")

@@ -15,14 +15,17 @@ GARCH volatility states with their m innovations, and the ARMA filter state),
 a stationary draw independent of eps_{-k..0} (Wu's physical dependence
 coupling). So a scan draws a bank of N = samples states, the ends of
 ``default_burn_in(spec)``-step paths from the fixed point (as ``simulate``
-does), in blocks of about 8 MiB from the stream (seed, _BANK_STREAM). Outer
-sample i draws from the stream (seed, i) such a path followed by
-eps_{-kmax..0}, then the bank indices of its R redraws. Its X_0 runs from its
-own end state over eps_{-kmax..0}, redraw r at each k from its bank state over
-eps_{-k..0}, k + 1 steps; the one arithmetic makes a finite-dependence
-process give redraws equal to the base bit for bit. Estimates depend on the
-largest k and on N, not on chunks or threads; the corrected value estimates
-nu^2 (1 + 1/N).
+does), in blocks of about 4 MiB of draws from the stream (seed,
+_BANK_STREAM). Outer sample i draws from the stream (seed, i) such a path
+followed by eps_{-kmax..0}, then the bank indices of its R redraws. Its X_0
+runs from its own end state over eps_{-kmax..0}, redraw r at each k from its
+bank state over eps_{-k..0}, k + 1 steps; the one arithmetic makes a
+finite-dependence process give redraws equal to the base bit for bit, and
+the redraw averages are exact sums (``math.fsum``), so such a process gives
+nu = 0. Every burn-in path, the bank's and each sample's, runs in place over
+its own draws; the window eps_{-kmax..0}, which every k shares, stays
+intact. Estimates depend on the largest k and on N, not on chunks or
+threads; the corrected value estimates nu^2 (1 + 1/N).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ __all__ = [
 DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
 DEFAULT_PRE_WINDOW = 200  # unused here; perfbench/workloads.py reads it for ned_garch's nominal step count
-_BLOCK_BYTES = 2**23  # size of one bank block's draws and values; the blocks fix the bank's draw order
+_BLOCK_BYTES = 2**23  # a bank block draws _BLOCK_BYTES // 16 innovations; the blocks fix the bank's draw order
 _BANK_STREAM = 2**32 - 1  # the bank's stream (seed, _BANK_STREAM); outer sample indices stay below it
 
 
@@ -117,6 +120,13 @@ class DecayFit:
     model: str  # geometric | polynomial | degenerate
     rate: float  # geometric rate in (0,1), or polynomial size tau (nu ~ k^-tau)
     r_squared: float
+    other_rate: float  # the same for the model not chosen; nan when degenerate
+    other_r_squared: float
+
+    @property
+    def other_model(self) -> str | None:
+        """The model not chosen, which ``other_rate`` and ``other_r_squared`` describe."""
+        return {"geometric": "polynomial", "polynomial": "geometric"}.get(self.model)
 
 
 @dataclass(frozen=True)
@@ -141,8 +151,9 @@ def _require_causal(spec: ProcessSpec):
 
 def _end_states(spec, m, eps):
     """Markov states at the end of the paths ``eps`` (..., T) run from the
-    fixed point: their last m innovations, then the carried state."""
-    state = values_from_innovations(spec, eps, final_state=True)[1]
+    fixed point: their last m innovations, then the carried state. The
+    values are written over ``eps[..., :T - m]``, which the caller gives up."""
+    state = values_from_innovations(spec, eps, final_state=True, overwrite_input=True)[1]
     return np.concatenate([eps[..., eps.shape[-1] - m :], state], axis=-1)
 
 
@@ -170,7 +181,7 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
     grid = sorted(set(ks))
     kmax = grid[-1]
     rng = stream_generator(seed, _BANK_STREAM)
-    block = max(1, _BLOCK_BYTES // (16 * max(lead, 1)))  # bank rows per draw: their innovations and values
+    block = max(1, _BLOCK_BYTES // (16 * max(lead, 1)))  # bank rows per draw
     draws = (dist.sample(rng, (min(block, samples - lo), lead)) for lo in range(0, samples, block))
     bank = np.concatenate([_end_states(spec, m, eps) for eps in draws])
     d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
@@ -189,7 +200,7 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
                 g_redraw = functional.apply(x0_redraw)
                 # exact summation for the redraw average so identical redraws cancel
                 # exactly: finite-dependence processes then give nu_hat = 0, not noise
-                avg = np.array([math.fsum(r) for r in g_redraw]) / redraws
+                avg = np.array([math.fsum(r) for r in g_redraw.tolist()]) / redraws
                 d = (g_base[f] - avg) ** 2
                 dev = g_redraw - avg[:, None]
                 inner_var = np.einsum("ij,ij->i", dev, dev) / (redraws - 1)
@@ -263,8 +274,9 @@ def fit_decay(k_values, nu_hat, se=None) -> DecayFit:
 
     Given the standard errors ``se`` of ``nu_hat``, each point weighs
     (nu/se)^2 on log nu (the delta method); otherwise all weigh alike.
-    Returns the model with the smaller weighted residual, and its weighted
-    R^2; all-zero scans come back degenerate (finite-dependence process).
+    Returns the model with the smaller weighted residual and its weighted
+    R^2, then the other model's rate and R^2; all-zero scans come back
+    degenerate (finite-dependence process).
     """
     ks = np.asarray(k_values, dtype=float)
     nus = np.asarray(nu_hat, dtype=float)
@@ -272,7 +284,8 @@ def fit_decay(k_values, nu_hat, se=None) -> DecayFit:
     if se is not None:
         keep &= np.asarray(se, dtype=float) > 0
     if keep.sum() < 4:
-        return DecayFit(model="degenerate", rate=0.0, r_squared=float("nan"))
+        nan = math.nan
+        return DecayFit(model="degenerate", rate=0.0, r_squared=nan, other_rate=nan, other_r_squared=nan)
     ks, log_nu = ks[keep], np.log(nus[keep])
     sqrt_w = np.ones_like(ks) if se is None else nus[keep] / np.asarray(se, dtype=float)[keep]
     w = sqrt_w**2
@@ -286,9 +299,10 @@ def fit_decay(k_values, nu_hat, se=None) -> DecayFit:
 
     slope_g, r2_g = ls_fit(ks)
     slope_p, r2_p = ls_fit(np.log(ks))
+    geometric, polynomial = (float(np.exp(slope_g)), r2_g), (float(-slope_p), r2_p)
     if r2_g >= r2_p:
-        return DecayFit(model="geometric", rate=float(np.exp(slope_g)), r_squared=r2_g)
-    return DecayFit(model="polynomial", rate=float(-slope_p), r_squared=r2_p)
+        return DecayFit("geometric", *geometric, *polynomial)
+    return DecayFit("polynomial", *polynomial, *geometric)
 
 
 @dataclass(frozen=True)

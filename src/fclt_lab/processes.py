@@ -289,8 +289,12 @@ def values_from_innovations(
     step in that layout, from which a split path resumes: bit for bit for an
     iid spec, and to the scan's bound otherwise, as the scan starts its blocks
     at the split. With
-    ``overwrite_input`` the GARCH output is written over ``eps``, which the
-    caller must own (the NED draws are shared across k, so they never are).
+    ``overwrite_input`` the output of every spec type is written over ``eps``,
+    which the caller must own: the values are a view of its first T - m
+    innovations, and the last m stay as they were. The NED scan passes it
+    for its burn-in paths, whose draws it reads only for their last m
+    innovations, and not for the window eps_{-k..0}, which its redraws share
+    across k.
     """
     if isinstance(spec, IidSpec):
         values = np.asarray(eps, dtype=np.float64)
@@ -302,7 +306,7 @@ def values_from_innovations(
         zero = np.zeros(np.shape(eps)[:-1] + (spec.q + spec.p,))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
         u, lead = values_from_innovations(inner, eps, strict, lead, True, overwrite_input)
-        values, rest = arma_values_from_innovations(spec, u, rest)
+        values, rest = arma_values_from_innovations(spec, u, rest, overwrite_input)
         return (values, np.concatenate([lead, rest], axis=-1)) if final_state else values
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 

@@ -161,9 +161,8 @@ def pilot_truth(spec: ProcessSpec, p: float, r: int, seed=0, n: int = PILOT_N) -
     about ``parallel.CHUNK_BYTES`` (one chunk up to n of about 4 x 10^6); the
     first n values of the row-major block are pooled. Memory peaks in the
     simulation, which holds the block and a chunk's innovations, which the
-    GARCH output overwrites, at most 2 x 8n bytes (for ARMA-GARCH also the
-    chunk's ARMA filter output, at most 3 x 8n); the statistics hold the
-    pooled sample and one n-sized temporary. Entries with exact closed forms
+    output of every spec type overwrites, at most 2 x 8n bytes; the
+    statistics hold the pooled sample and one n-sized temporary. Entries with exact closed forms
     (mean / a_r under symmetry, the GARCH variance) are taken instead of
     estimated, with provenance recorded. When the driving noise is discrete,
     ``f_at_q`` is left as None, so a run that needs the density refuses.

@@ -197,3 +197,52 @@ def test_filter_peak_memory_is_output_plus_a_few_mib():
     finally:
         tracemalloc.stop()
     assert peak <= values.nbytes + 4 * 2**20, (peak - values.nbytes) / 2**20
+
+
+# --- the output written over its own innovations -----------------------------------
+
+OVERWRITE_SPECS = {
+    "ar1": FILTER_SPECS["ar1"],
+    "ma3": FILTER_SPECS["ma3"],
+    "arma22": ArmaSpec(phi=(-0.5, 0.2), theta=(0.3, 0.2)),
+    "arma11_garch": ArmaSpec(
+        phi=(-0.5,), theta=(0.3,), innovation=AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    ),
+}
+# one tile, in a flat row and in a (3, 4) batch; 128 rows over three tiles of 1024 steps; two row blocks
+# whose second tile is one step, shorter than the three carried innovations of MA(3); one row over
+# three tiles of 131 072 steps
+OVERWRITE_SHAPES = [(300,), (3, 4, 500), (128, 2 * 1024 + 3), (2049, 65), (1, 300_000)]
+
+
+@pytest.mark.parametrize("shape", OVERWRITE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("name", OVERWRITE_SPECS)
+@pytest.mark.parametrize("given_state", [False, True], ids=["zero", "state"])
+def test_overwrite_input_matches_the_copying_call(name, shape, given_state):
+    spec = OVERWRITE_SPECS[name]
+    rng = np.random.default_rng(len(name) * 1000 + shape[-1])
+    if isinstance(spec.innovation, AugGarchSpec):  # through values_from_innovations, over the GARCH pre-window
+        garch = spec.innovation
+        m = garch.pre_window
+        eps = rng.standard_normal(shape[:-1] + (m + shape[-1],))
+        states = garch.state_fixed_point() * rng.uniform(0.5, 1.5, shape[:-1] + (m,))
+        state = np.concatenate([states, rng.standard_normal(shape[:-1] + (spec.q + spec.p,))], axis=-1)
+        state = state if given_state else None
+        want, want_state = values_from_innovations(spec, eps, state=state, final_state=True)
+        work = eps.copy()
+        got, got_state = values_from_innovations(spec, work, state=state, final_state=True, overwrite_input=True)
+        assert np.shares_memory(got, work) and np.array_equal(got, work[..., : shape[-1]])
+        assert _same_bits(work[..., shape[-1] :], eps[..., shape[-1] :])  # the last m innovations stay
+    else:
+        eps = rng.standard_normal(shape)
+        size = shape[:-1] + (spec.q + spec.p,)
+        state = rng.standard_normal(size) if given_state else np.zeros(size)
+        want, want_state = arma_values_from_innovations(spec, eps, state)
+        work = eps.copy()
+        got, got_state = arma_values_from_innovations(spec, work, state, overwrite_input=True)
+        assert np.shares_memory(got, work) and _same_bits(got, work)
+    assert _same_bits(got, want) and _same_bits(got_state, want_state)
+    # the copying call leaves its innovations alone
+    again = eps.copy()
+    values_from_innovations(spec, again, state=state)
+    assert _same_bits(again, eps)

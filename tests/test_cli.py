@@ -337,6 +337,37 @@ def test_ned_scan_empty_k_grid_exits_2(garch_spec_file, capsys, kmax):
     _assert_one_line_error(capsys, "kmax")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["ned-scan", "mc"])
+def test_threads_below_one_exits_2(garch_spec_file, tmp_path, capsys, command, threads):
+    cfg = {
+        "experiment": "clt",
+        "spec": {"model": "iid", "innovation": {"kind": "standard_normal"}},
+        "p": 0.5,
+        "r": 2,
+        "n": 50,
+        "reps": 8,
+        "truth": TRUTH,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = {
+        "ned-scan": ["ned-scan", "--spec", garch_spec_file, "--kmax", "1", "--samples", "8", "--redraws", "2"],
+        "mc": ["mc", "--config", str(cfg_path)],
+    }[command]
+    assert main(argv + ["--threads", threads]) == 2
+    _assert_one_line_error(capsys, "--threads")
+
+
+def test_ned_scan_prints_both_fits(tmp_path, capsys):
+    spec_path = tmp_path / "ar1.json"
+    spec_path.write_text(json.dumps({"model": "arma", "phi": [-0.5], "theta": [], "innovation": {"kind": "standard_normal"}}))
+    argv = ["ned-scan", "--spec", str(spec_path), "--kmax", "6", "--samples", "256", "--redraws", "8"]
+    assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 0
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("fit: geometric rate=") and "; polynomial rate=" in line and line.count("r_squared=") == 2
+
+
 def test_ned_scan_fingerprint_covers_samples(garch_spec_file, tmp_path):
     fingerprints = []
     for samples in ("8", "12"):

@@ -83,9 +83,20 @@ def test_fit_decay_weights_points_by_their_se():
     assert fit.r_squared > 0.99
 
 
+def test_fit_decay_reports_the_other_model():
+    ks = np.arange(1, 11)
+    nu = 0.5**ks
+    fit = fit_decay(ks, nu)
+    tau = -np.polyfit(np.log(ks), np.log(nu), 1)[0]  # the unweighted polynomial fit
+    assert fit.other_model == "polynomial" and fit.other_rate == pytest.approx(tau, rel=1e-12)
+    assert 0.0 < fit.other_r_squared < fit.r_squared
+    poly = fit_decay(ks, ks.astype(float) ** -3)
+    assert poly.other_model == "geometric" and 0.0 < poly.other_rate < 1.0 and poly.other_r_squared < poly.r_squared
+
+
 def test_fit_decay_degenerate_on_zeros():
     fit = fit_decay(np.arange(1, 8), np.zeros(7))
-    assert fit.model == "degenerate"
+    assert fit.model == "degenerate" and fit.other_model is None
 
 
 def test_ar1_scan_fits_geometric_rate_half():
@@ -255,3 +266,19 @@ def test_functional_comparison_equals_three_scans():
     assert repr(cmp.identity) == repr(ned_scan(AR1, IDENTITY, ks, **args))
     assert repr(cmp.indicator) == repr(ned_scan(AR1, Functional("indicator_leq", 0.5), ks, **args))
     assert repr(cmp.abs_pow) == repr(ned_scan(AR1, Functional("abs_pow", 3.0), ks, **args))
+
+
+@pytest.mark.parametrize("spec", [GARCH11, AR1], ids=["garch", "ar1"])
+def test_scan_peak_memory_is_about_twice_its_bank_draws(spec):
+    # the burn-ins overwrite the draws they run over: the bank's and each sample's base path
+    import tracemalloc
+
+    samples = 512
+    draws = 8 * samples * (pre_window(spec) + default_burn_in(spec))  # the bank's innovations, 3.9 MiB
+    tracemalloc.start()
+    try:
+        ned_scan(spec, Functional("abs_pow", 2.0), [1, 2], redraws=2, samples=samples, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draws, peak / draws

@@ -241,6 +241,29 @@ def test_simulate_batch_rows_equal_simulate_over_several_tiles(spec):
         assert np.array_equal(row, simulate(spec, 100_000, burn_in=0, seed=(12, rep)).values)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ArmaSpec(phi=(-0.5,)),
+        ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))),
+    ],
+    ids=["ar1", "arma11_garch"],
+)
+def test_simulate_batch_peak_memory_is_one_block(spec):
+    # the draws are the only block: the GARCH volatility and the ARMA filter both write over them
+    import tracemalloc
+
+    rows, n = 64, 10**5
+    block = 8 * rows * (pre_window(spec) + 1000 + n)  # 49.3 MiB with the default burn-in
+    tracemalloc.start()
+    try:
+        simulate_batch(spec, n, None, 3, range(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block + 8 * 2**20, (peak - block) / 2**20  # tiles and their temporaries
+
+
 NAN, INF = float("nan"), float("inf")
 
 
