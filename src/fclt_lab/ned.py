@@ -187,9 +187,11 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
     d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
 
     def task(start, stop):
-        rngs = [stream_generator(seed, i) for i in range(start, stop)]
-        base = np.array([dist.sample(rng, lead + kmax + 1) for rng in rngs])  # each stream: its path, then its picks
-        picks = np.array([rng.integers(samples, size=redraws) for rng in rngs])
+        base = np.empty((stop - start, lead + kmax + 1))
+        picks = np.empty((stop - start, redraws), dtype=np.int64)
+        for row, rng in enumerate(stream_generator(seed, each=range(start, stop))):  # its path, then its picks
+            base[row] = dist.sample(rng, lead + kmax + 1)
+            picks[row] = rng.integers(samples, size=redraws)
         fixed = base[:, lead:]  # eps_{-kmax..0}
         x0 = _last_values(spec, m, _end_states(spec, m, base[:, :lead]), fixed)
         g_base = [functional.apply(x0) for functional in functionals]

@@ -306,7 +306,7 @@ def values_from_innovations(
         zero = np.zeros(np.shape(eps)[:-1] + (spec.q + spec.p,))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
         u, lead = values_from_innovations(inner, eps, strict, lead, True, overwrite_input)
-        values, rest = arma_values_from_innovations(spec, u, rest, overwrite_input)
+        values, rest = arma_values_from_innovations(spec, u, rest, overwrite_input or u is not eps)  # a new u is ours
         return (values, np.concatenate([lead, rest], axis=-1)) if final_state else values
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 
@@ -320,11 +320,14 @@ def pre_window(spec: ProcessSpec) -> int:
     return 0
 
 
-def _simulate_rows(spec: ProcessSpec, n: int, burn_in: int | None, keys: list, strict: bool) -> tuple[np.ndarray, int]:
+def _simulate_rows(
+    spec: ProcessSpec, n: int, burn_in: int | None, rngs, rows: int, strict: bool
+) -> tuple[np.ndarray, int]:
     """Draw-and-recurse core of the seeded simulators.
 
-    Row i is driven by the Philox stream ``keys[i]`` and holds the n values
-    after the burn-in, which is returned alongside (iid specs take none).
+    Row i of the ``rows`` is driven by the i-th Generator of ``rngs`` and holds
+    the n values after the burn-in, which is returned alongside (iid specs
+    take none).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -338,9 +341,9 @@ def _simulate_rows(spec: ProcessSpec, n: int, burn_in: int | None, keys: list, s
         spec.require_causal()
     total = pre_window(spec) + burn + n
     dist = innovation_driver(spec)
-    eps = np.empty((len(keys), total))
-    for row, key in enumerate(keys):
-        eps[row] = dist.sample(stream_generator(key), total)
+    eps = np.empty((rows, total))
+    for row, rng in enumerate(rngs):
+        eps[row] = dist.sample(rng, total)
     return values_from_innovations(spec, eps, strict=strict, overwrite_input=True)[:, burn:], burn
 
 
@@ -350,7 +353,7 @@ def simulate(spec: ProcessSpec, n: int, burn_in: int | None = None, seed=0) -> P
     ``burn_in`` defaults to max(1000, 20(p+q)) steps and is ignored for iid
     specs.
     """
-    values, burn = _simulate_rows(spec, n, burn_in, [seed_key(seed)], strict=True)
+    values, burn = _simulate_rows(spec, n, burn_in, [stream_generator(seed)], 1, strict=True)
     return Path(values[0], spec_fingerprint(spec), seed_key(seed), burn)
 
 
@@ -361,8 +364,7 @@ def simulate_batch(spec: ProcessSpec, n: int, burn_in: int | None, seed, reps: r
     for an integer seed; the recursion runs vectorized across the batch, and
     a diverging replication becomes a NaN row for quarantining.
     """
-    key = seed_key(seed)
-    return _simulate_rows(spec, n, burn_in, [key + (rep,) for rep in reps], strict=False)[0]
+    return _simulate_rows(spec, n, burn_in, stream_generator(seed, each=reps), len(reps), strict=False)[0]
 
 
 # --- CSV ---------------------------------------------------------------------

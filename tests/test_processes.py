@@ -264,6 +264,27 @@ def test_simulate_batch_peak_memory_is_one_block(spec):
     assert peak <= block + 8 * 2**20, (peak - block) / 2**20  # tiles and their temporaries
 
 
+def test_copying_arma_garch_call_holds_one_block():
+    # without overwrite_input the GARCH output is the call's own, and the ARMA filter writes over it
+    import tracemalloc
+
+    garch = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    spec = ArmaSpec(phi=(-0.5,), theta=(0.3,), innovation=garch)
+    rows, n = 64, 10**5
+    eps = np.random.default_rng(5).standard_normal((rows, pre_window(spec) + n))
+    before = eps[:, ::1000].copy()
+    tracemalloc.start()
+    try:
+        values = values_from_innovations(spec, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * rows * n  # 48.8 MiB; two blocks peaked at 100.7 MiB
+    assert peak <= block + 8 * 2**20, (peak - block) / 2**20
+    assert np.array_equal(eps[:, ::1000], before)
+    assert np.array_equal(values, values_from_innovations(spec, eps, overwrite_input=True))
+
+
 NAN, INF = float("nan"), float("inf")
 
 

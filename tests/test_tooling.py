@@ -13,9 +13,10 @@ start-up), and neither does an ARMA or ARMA-GARCH run, whose filter is numpy.
 No library module names ``scipy.integrate``, ``quad``, ``scipy.signal`` or
 ``lfilter``, and only ``innovations.py`` names its double-exponential rule:
 every integral against the innovation law goes through
-``InnovationDist.expect``. Only ``scan.py`` defines the block layout and the
-tile byte budget, and ``garch.py`` and ``arma.py`` import them from it; it
-alone defines the one in-block recursion, ``linear_scan``, and its block-end
+``InnovationDist.expect``. Only ``rng.py`` names ``SeedSequence`` or
+``Philox``, and it derives the stream keys itself. Only ``scan.py`` defines
+the block layout and the tile byte budget, and ``garch.py`` and ``arma.py``
+import them from it; it alone defines the one in-block recursion, ``linear_scan``, and its block-end
 pass, and ``tiles`` takes no unit: it derives one from the path length and
 the recursion's lag count, a property of the spec. Only
 ``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
@@ -113,6 +114,26 @@ def test_every_private_module_name_is_referenced():
             defined += [(name, private) for private in _private_module_names(tree)]
             referenced |= _referenced_names(tree)
     assert not [f"{module}: {private}" for module, private in defined if private not in referenced]
+
+
+_STREAM_KEYING = re.compile(r"\b(?:SeedSequence|Philox)\b")
+
+
+def test_only_rng_keys_streams():
+    # one home for the key derivation: rng.py builds Philox generators from keys it derives itself
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                source = fh.read()
+            if name == "rng.py":
+                assert {"SeedSequence", "Philox"} & _referenced_names(ast.parse(source)) == {"Philox"}
+                continue
+            lines = [i for i, line in enumerate(source.splitlines(), 1) if _STREAM_KEYING.search(line)]
+            if lines:
+                found[name] = lines
+    assert not found
 
 
 _INTEGRATOR = re.compile(r"\b_(?:integrate|de_piece|de_nodes)\b")
