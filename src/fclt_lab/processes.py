@@ -306,7 +306,8 @@ def values_from_innovations(
         zero = np.zeros(np.shape(eps)[:-1] + (spec.q + spec.p,))
         lead, rest = (None, zero) if state is None else np.split(state, [pre_window(spec)], axis=-1)
         u, lead = values_from_innovations(inner, eps, strict, lead, True, overwrite_input)
-        values, rest = arma_values_from_innovations(spec, u, rest, overwrite_input or u is not eps)  # a new u is ours
+        own = overwrite_input or not np.may_share_memory(u, eps)  # a u apart from eps is ours to write over
+        values, rest = arma_values_from_innovations(spec, u, rest, own)
         return (values, np.concatenate([lead, rest], axis=-1)) if final_state else values
     raise ParameterError(f"unknown spec type {type(spec).__name__}")
 

@@ -33,7 +33,8 @@ _ZEROS = (0, 0, 0, 0)
 
 
 def _entry(value) -> int:
-    """One key entry: a non-negative integer, or a float with such a value."""
+    """One entry of a seed sequence or stream: a non-negative integer, or a
+    float with such a value."""
     if not isinstance(value, bool):
         try:
             entry = operator.index(value)
@@ -53,6 +54,8 @@ def seed_key(seed, *stream) -> tuple[int, ...]:
     try:
         entries = [*seed]
     except TypeError:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer or a tuple of integers, got {seed!r}") from None
         entries = [seed]
     key = tuple(_entry(s) for s in entries + list(stream))
     if not key:
@@ -108,8 +111,6 @@ def _philox_keys(head: tuple[int, ...], tail: list[int]) -> np.ndarray:
     if head:  # a spawn key follows: the run entropy is padded to the pool size
         run = _words(head[0])
         fixed = run + [0] * (_POOL - len(run)) + [w for k in head[1:] for w in _words(k)]
-    if len(tail) == 1:  # ints hash faster than arrays of one
-        return np.array([_hash(fixed + _words(tail[0]))], dtype=np.uint64)
     keys = np.empty((len(tail), 2), dtype=np.uint64)
     if not tail:
         return keys

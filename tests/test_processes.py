@@ -285,6 +285,25 @@ def test_copying_arma_garch_call_holds_one_block():
     assert np.array_equal(values, values_from_innovations(spec, eps, overwrite_input=True))
 
 
+class _Wrapped(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("wrap", ["subclass", "memmap"])
+def test_copying_arma_call_leaves_a_wrapped_input_alone(wrap, tmp_path):
+    # an iid inner spec hands back eps as a base-class view: same memory, another object
+    spec = ArmaSpec(phi=(0.5,))
+    eps = np.random.default_rng(6).standard_normal((3, 50))
+    if wrap == "memmap":
+        wrapped = np.memmap(tmp_path / "eps.bin", dtype=np.float64, mode="w+", shape=eps.shape)
+        wrapped[:] = eps
+    else:
+        wrapped = eps.copy().view(_Wrapped)
+    values = values_from_innovations(spec, wrapped)
+    assert np.array_equal(np.asarray(wrapped), eps)
+    assert np.array_equal(values, values_from_innovations(spec, eps.copy(), overwrite_input=True))
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -71,6 +71,9 @@ def test_batch_rows_equal_single_paths():
         (lambda: seed_key((1.5, 2)), "1.5"),
         (lambda: seed_key([True, 3]), "True"),
         (lambda: seed_key(float("nan")), "nan"),
+        (lambda: seed_key(4.0), "4.0"),  # a scalar seed is an integer; integral floats pass only in sequences
+        (lambda: seed_key(True), "True"),
+        (lambda: simulate(IidSpec(), 4, seed=4.0), "4.0"),
         (lambda: seed_key("7"), "'7'"),
         (lambda: stream_generator(3, 2.7), "2.7"),
         (lambda: stream_generator(3, each=[0, 1.5]), "1.5"),
@@ -88,8 +91,9 @@ def test_bad_key_entries_are_refused_by_name(call, entry):
 
 
 def test_integral_entries_name_their_integer():
-    # the CLI admits an integral float in a seed list, and it names that integer's stream
+    # an integral float in a seed sequence or a stream index names that integer's stream
     assert seed_key((1.0, np.int64(2)), np.uint64(3)) == (1, 2, 3)
-    assert np.array_equal(_key(stream_generator(np.float64(4.0), 2.0)), _numpy_key((4, 2)))
+    assert seed_key(np.int64(4)) == (4,)
+    assert np.array_equal(_key(stream_generator((np.float64(4.0),), 2.0)), _numpy_key((4, 2)))
     with pytest.raises(ParameterError, match="must not be empty"):
         seed_key(())
