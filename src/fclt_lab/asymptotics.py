@@ -24,6 +24,8 @@ import numpy as np
 from .conditions import approve, refusal
 from .errors import ParameterError, SingularityError
 from .estimators import (
+    _check_p,
+    _check_r,
     empirical_cdf,
     known_mean_abs_moment,
     sample_mean,
@@ -128,8 +130,7 @@ def _a_r_transform(r: int, mu: float = 0.0):
 
 def a_r_quadrature(dist: InnovationDist, r: int, mu: float = 0.0) -> float:
     """a_r = r E[(X-mu)^(r-1) sgn(X-mu)^r] for an innovation-law marginal."""
-    if r < 1:
-        raise ParameterError("r must be a positive integer")
+    _check_r(r)
     if dist.is_symmetric and mu == 0.0:
         return 0.0  # odd integrand under a symmetric law
     return dist.expect(_a_r_transform(r, mu))
@@ -150,10 +151,8 @@ def iid_gamma(dist: InnovationDist, p: float, r: int, q_true: float | None = Non
     g22 = a^2 Var(X) + Var(|X|^r) - 2a Cov(X, |X|^r);
     g12 = (a Cov(ind, X) - Cov(ind, |X|^r)) / f with ind = 1(X <= q).
     """
-    if not 0 < p < 1:
-        raise ParameterError("p must lie in (0,1)")
-    if r < 1:
-        raise ParameterError("r must be a positive integer")
+    _check_p(p)
+    _check_r(r)
     return gamma_from_trivariate(trivariate_iid_closed_form(dist, p, r, q_true, f_at_q), a_r_quadrature(dist, r))
 
 

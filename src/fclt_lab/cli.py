@@ -56,7 +56,7 @@ from .processes import (
     spec_to_obj,
 )
 from .rng import seed_key
-from .truth import TRUTH_ENTRIES, Truth, resolve_truth
+from .truth import PILOT_N, TRUTH_ENTRIES, Truth, resolve_truth
 
 
 def _dump_json(obj) -> str:
@@ -194,13 +194,13 @@ def _cmd_ned_scan(args) -> int:
 
 
 def _resolve_mc_truth(cfg_obj: dict, spec, p: float, r: int) -> Truth:
-    if "truth" in cfg_obj:
+    if cfg_obj.get("truth") is not None:
         given = _object(cfg_obj["truth"], "config.truth")
         entries = {key: _field(given, key, "config.truth", _finite) for key in TRUTH_ENTRIES}
         provenance = {key: "config" for key, value in entries.items() if value is not None}
         return Truth(**entries, p=p, r=r, provenance=provenance)
-    pilot = _object(cfg_obj.get("pilot", {}), "config.pilot")
-    pilot_n = _field(pilot, "n", "config.pilot", _integer, 10_000_000)
+    pilot = {} if cfg_obj.get("pilot") is None else _object(cfg_obj["pilot"], "config.pilot")
+    pilot_n = _field(pilot, "n", "config.pilot", _integer, PILOT_N)
     pilot_seed = _field(pilot, "seed", "config.pilot", _seed, 0)
     return resolve_truth(spec, p, r, seed=pilot_seed, pilot_n=pilot_n)
 

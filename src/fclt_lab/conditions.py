@@ -31,6 +31,7 @@ import numpy as np
 
 from .arma import ArmaSpec
 from .errors import ParameterError, QuadratureError, RefusalError, WrongGroupError
+from .estimators import _check_r
 from .garch import AugGarchSpec, EXPONENTIAL_MODELS
 from .innovations import InnovationDist
 from .processes import IidSpec, ProcessSpec
@@ -76,12 +77,8 @@ class ConditionReport:
 
 
 def _verdict(value: float, threshold: float, direction: str) -> tuple[bool, str | None]:
-    if direction == "below":
-        ok = value < threshold - MARGIN
-        boundary = threshold - MARGIN <= value <= threshold + MARGIN
-    else:
-        ok = value > threshold + MARGIN
-        boundary = threshold - MARGIN <= value <= threshold + MARGIN
+    ok = value < threshold - MARGIN if direction == "below" else value > threshold + MARGIN
+    boundary = threshold - MARGIN <= value <= threshold + MARGIN
     return ok, ("boundary: not satisfied" if boundary else None)
 
 
@@ -175,8 +172,7 @@ def check_polynomial_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
     """Norm-sum check at s = max(1, r/d) for the polynomial group."""
     if spec.is_exponential:
         raise WrongGroupError("spec belongs to the exponential group; use check_exponential_condition")
-    if r < 1:
-        raise ParameterError("r must be a positive integer")
+    _check_r(r)
     s = max(1.0, float(r) / spec.lam_exponent)
     positivity = check_positivity(spec)
     g_sum = _norm_sum(spec.innovation, spec.g_transforms(), s)  # must be finite; quadrature raises otherwise
@@ -276,8 +272,7 @@ def check_exponential_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
     """(sum_j |c_j| < 1) plus finiteness of the exponential g-moment."""
     if not spec.is_exponential:
         raise WrongGroupError("spec belongs to the polynomial group; use check_polynomial_condition")
-    if r < 1:
-        raise ParameterError("r must be a positive integer")
+    _check_r(r)
     if spec.model == "generic":
         grid = _support_grid(spec.innovation)
         c_sum = float(sum(np.max(np.abs(np.asarray(c(grid), dtype=float))) for c in spec.c_transforms()))
@@ -339,10 +334,7 @@ def table_closed_form_report(spec: AugGarchSpec, r: int) -> ConditionReport | No
         value = float(sum(abs(b) for b in spec.beta))
         return _report("table3_row", value, 1.0, "closed_form", order=float(r))
 
-    k = max(spec.p, spec.q)
-    al = spec.alpha + (0.0,) * (k - len(spec.alpha))
-    be = spec.beta + (0.0,) * (k - len(spec.beta))
-    ga = (spec.gamma or (0.0,) * spec.p) + (0.0,) * (k - max(len(spec.gamma), spec.p))
+    al, be, ga = spec.lag_coefficients()
 
     if spec.model == "vgarch":
         value = float(sum(spec.beta))

@@ -32,6 +32,7 @@ __all__ = [
     "estimator_vector",
     "partial_sum_process",
     "checked_t_grid",
+    "prefix_lengths",
 ]
 
 
@@ -66,12 +67,14 @@ def _rows(out: np.ndarray):
 
 
 def _check_p(p: float):
+    """The one check of a quantile level: p = 0 or 1 has an infinite quantile and no density there."""
     if not 0.0 < p < 1.0:
         raise ParameterError(f"quantile level p must lie in (0, 1), got {p}")
 
 
 def _check_r(r: int):
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
+    """The one check of a moment order: an integer r >= 1, not a bool."""
+    if isinstance(r, bool) or not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ParameterError(f"moment order r must be a positive integer, got {r}")
 
 
@@ -150,6 +153,14 @@ def checked_t_grid(t_grid) -> tuple[float, ...]:
     return grid
 
 
+def prefix_lengths(n: int, grid) -> list[int]:
+    """The prefix lengths floor(n t) over an ascending grid; an empty prefix raises."""
+    lengths = [math.floor(n * t) for t in grid]
+    if lengths[0] < 1:
+        raise ParameterError(f"prefix for t={grid[0]} is empty (n={n})")
+    return lengths
+
+
 def partial_sum_process(path_or_values, p: float, r: int, t_grid) -> list[EstimatePair]:
     """Estimator pairs on the prefixes of length floor(n t), one per grid point.
 
@@ -159,12 +170,4 @@ def partial_sum_process(path_or_values, p: float, r: int, t_grid) -> list[Estima
     x = _values(path_or_values)
     _check_p(p)
     _check_r(r)
-    grid = checked_t_grid(t_grid)
-    n = x.shape[-1]
-    out = []
-    for t in grid:
-        m = int(math.floor(n * t))
-        if m < 1:
-            raise ParameterError(f"prefix for t={t} is empty (n={n})")
-        out.append(estimator_vector(x[..., :m], p, r))
-    return out
+    return [estimator_vector(x[..., :m], p, r) for m in prefix_lengths(x.shape[-1], checked_t_grid(t_grid))]

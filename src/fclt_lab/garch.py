@@ -7,7 +7,12 @@ The volatility recursion is driven by transforms of lagged innovations,
 where ``state_t`` is sigma_t^2 raised to a model-specific power (polynomial
 group) or log sigma_t^2 (exponential group), and the observed value is
 X_t = sigma_t * eps_t. Each named model fixes the transforms g_i, c_j and the
-state power; ``generic`` accepts user-supplied callables.
+state power; ``generic`` accepts user-supplied callables. Seven models form
+the power family of Ding, Granger & Engle (1993), one coefficient
+c_j(eps) = alpha_j |z|^(2d) + beta_j with d the state power and
+z = |eps| - gamma_j eps (z = eps where gamma_j = 0): apgarch (d = delta),
+agarch, garch and arch (d = 1), tgarch and tsgarch (d = 1/2), and pgarch
+(d = delta / 2). Only the models in ``GAMMA_MODELS`` take gamma.
 
 The recursion is seeded at the deterministic fixed point of the mean
 recursion, state0 = <g> / (1 - <c>) with <g> = sum_i E[g_i(eps)] and
@@ -38,6 +43,7 @@ from .scan import BLOCK, from_blocks, lagged_blocks, linear_scan, tiles
 
 __all__ = [
     "AugGarchSpec",
+    "GAMMA_MODELS",
     "POLYNOMIAL_MODELS",
     "EXPONENTIAL_MODELS",
     "default_burn_in",
@@ -51,17 +57,16 @@ POLYNOMIAL_MODELS = frozenset(
 EXPONENTIAL_MODELS = frozenset({"mgarch", "egarch"})
 MODELS = POLYNOMIAL_MODELS | EXPONENTIAL_MODELS | {"generic"}
 
-# models whose gamma parameters obey the -1 <= gamma <= 1 restriction
-# (gjr uses the starred parametrization, which is not bounded this way)
-_GAMMA_BOUNDED = frozenset({"apgarch", "agarch", "tgarch", "tsgarch", "vgarch", "ngarch", "egarch"})
+# the models whose transforms read gamma; it lies in [-1, 1] for all but gjr,
+# whose starred parametrization is not bounded this way
+GAMMA_MODELS = frozenset({"apgarch", "agarch", "tgarch", "gjr", "vgarch", "ngarch", "egarch"})
 
-def _pow_even(z, exponent: float):
-    """z**exponent with exact fast paths for exponents 1 and 2 (z >= 0)."""
-    if exponent == 1.0:
-        return z
-    if exponent == 2.0:
+
+def _abs_pow(z, k: float):
+    """|z|**k, exact at k = 1 and 2; at k = 2 a signed z is squared directly."""
+    if k == 2.0:
         return z * z
-    return z**exponent
+    return np.abs(z) if k == 1.0 else np.abs(z) ** k
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class AugGarchSpec:
 
     ``alpha``/``beta``/``gamma`` follow the conventional volatility equation of
     the named model: p alpha (and gamma) terms on lagged values, q beta terms
-    on lagged volatilities. For ``gjr`` the alpha/gamma arrays hold the starred
+    on lagged volatilities; a model outside ``GAMMA_MODELS`` refuses a
+    gamma. For ``gjr`` the alpha/gamma arrays hold the starred
     coefficients of its usual parametrization. ``delta`` is the power of the
     apgarch / pgarch families. ``generic`` bypasses the named table: supply
     ``g_funcs``, ``c_funcs`` (vectorized callables of the innovation) and
@@ -120,6 +126,8 @@ class AugGarchSpec:
             raise ParameterError(f"alpha must have length p={self.p}, got {len(self.alpha)}")
         if len(self.beta) != self.q:
             raise ParameterError(f"beta must have length q={self.q}, got {len(self.beta)}")
+        if self.gamma and self.model not in GAMMA_MODELS:
+            raise ParameterError(f"gamma is not a parameter of {self.model}")
         if self.gamma and len(self.gamma) != self.p:
             raise ParameterError(f"gamma must be empty or length p={self.p}, got {len(self.gamma)}")
         if self.model == "arch" and self.q != 0:
@@ -128,7 +136,7 @@ class AugGarchSpec:
             raise ParameterError("alpha coefficients must be >= 0")
         if any(b < 0 for b in self.beta):
             raise ParameterError("beta coefficients must be >= 0")
-        if self.model in _GAMMA_BOUNDED and any(abs(g) > 1 for g in self.gamma):
+        if self.model != "gjr" and any(abs(g) > 1 for g in self.gamma):
             raise ParameterError("gamma coefficients must lie in [-1, 1]")
         if self.model in ("apgarch", "pgarch"):
             if self.delta is None or not self.delta > 0:
@@ -159,16 +167,17 @@ class AugGarchSpec:
             return 0.5
         return 1.0
 
-    def _padded(self, arr: tuple[float, ...], length: int) -> tuple[float, ...]:
-        return tuple(arr) + (0.0,) * (length - len(arr))
+    def lag_coefficients(self) -> tuple[tuple[float, ...], ...]:
+        """alpha, beta and gamma, each zero-padded to max(p, q) lags."""
+        return tuple(c + (0.0,) * (self.pre_window - len(c)) for c in (self.alpha, self.beta, self.gamma))
 
     def g_transforms(self) -> tuple:
         """Per-lag transforms g_i of the innovation (vectorized callables; a constant g_i returns a number)."""
         if self.model == "generic":
             return tuple(self.g_funcs)
         w = self.omega / self.p
+        gam = self.lag_coefficients()[2]
         if self.model == "vgarch":
-            gam = self._padded(self.gamma, self.p)
             return tuple(
                 (lambda e, a=a, g=g: w + a * np.square(e + g))
                 for a, g in zip(self.alpha, gam)
@@ -179,7 +188,6 @@ class AugGarchSpec:
             )
         if self.model == "egarch":
             mu_abs = _abs_mean(self.innovation)
-            gam = self._padded(self.gamma, self.p)
             return tuple(
                 (lambda e, a=a, g=g: w + a * (np.abs(e) - mu_abs) + g * e)
                 for a, g in zip(self.alpha, gam)
@@ -193,16 +201,7 @@ class AugGarchSpec:
             return tuple(self.c_funcs)
         if self.model in ("vgarch", "mgarch", "egarch"):
             return tuple((lambda e, b=b: b) for b in self.beta)
-        if self.model == "arch":
-            return tuple((lambda e, a=a: a * (e * e)) for a in self.alpha)
-        k = max(self.p, self.q)
-        al = self._padded(self.alpha, k)
-        be = self._padded(self.beta, k)
-        ga = self._padded(self.gamma, k)
-        if self.model == "garch":
-            return tuple(
-                (lambda e, a=a, b=b: a * (e * e) + b) for a, b in zip(al, be)
-            )
+        al, be, ga = self.lag_coefficients()
         if self.model == "gjr":
             return tuple(
                 (lambda e, a=a, b=b, g=g: b + a * (e * e) + g * np.square(np.minimum(e, 0.0)))
@@ -213,20 +212,10 @@ class AugGarchSpec:
                 (lambda e, a=a, b=b, g=g: a * np.square(e + g) + b)
                 for a, b, g in zip(al, be, ga)
             )
-        if self.model in ("tsgarch",):
-            return tuple(
-                (lambda e, a=a, b=b: a * np.abs(e) + b) for a, b in zip(al, be)
-            )
-        if self.model == "pgarch":
-            d = float(self.delta)
-            return tuple(
-                (lambda e, a=a, b=b: a * _pow_even(np.abs(e), d) + b)
-                for a, b in zip(al, be)
-            )
-        # apgarch family (apgarch / agarch / tgarch): c = alpha (|e| - gamma e)^(2 delta) + beta
-        two_delta = 2.0 * (self.delta if self.model == "apgarch" else (0.5 if self.model == "tgarch" else 1.0))
+        # the power family (module docstring): c_j = alpha_j |z|^(2d) + beta_j
+        k = 2.0 * self.lam_exponent
         return tuple(
-            (lambda e, a=a, b=b, g=g: a * _pow_even(np.abs(e) - g * e, two_delta) + b)
+            (lambda e, a=a, b=b, g=g: a * _abs_pow(e if g == 0.0 else np.abs(e) - g * e, k) + b)
             for a, b, g in zip(al, be, ga)
         )
 

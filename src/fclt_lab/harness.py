@@ -25,7 +25,7 @@ import numpy as np
 from .asymptotics import Gamma2, bahadur_remainder, representation_gap
 from .conditions import approve, refusal
 from .errors import ParameterError, RefusalError
-from .estimators import centred_abs_moment, checked_t_grid, sample_quantile
+from .estimators import _check_p, _check_r, centred_abs_moment, checked_t_grid, prefix_lengths, sample_quantile
 from .parallel import run_chunked
 from .processes import ProcessSpec, simulate_batch, spec_fingerprint
 from .truth import Truth
@@ -65,10 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ParameterError("reps must be >= 2")
-        if not 0 < self.p < 1:
-            raise ParameterError("p must lie in (0,1)")
-        if self.r < 1:
-            raise ParameterError("r must be a positive integer")
+        _check_p(self.p)
+        _check_r(self.r)
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if not (math.isfinite(self.se_threshold) and self.se_threshold > 0):
@@ -269,9 +267,7 @@ def _replications(cfg: ExperimentConfig, lengths, stat, threads: int) -> tuple[n
 def _pairs(cfg: ExperimentConfig, grid: tuple[float, ...], threads: int):
     """The scaled centred pairs sqrt(n) t (theta_k - theta) on the prefixes k = floor(n t) of each
     replication, as (used, len(grid), 2), with the realized fractions k / n and the counts."""
-    lengths = [math.floor(cfg.n * t) for t in grid]  # ascending, as the grid
-    if lengths[0] < 1:
-        raise ParameterError(f"prefix for t={grid[0]} is empty (n={cfg.n})")
+    lengths = prefix_lengths(cfg.n, grid)
     fractions = tuple(k / cfg.n for k in lengths)
     truth, root_n = cfg.truth, math.sqrt(cfg.n)
 

@@ -15,14 +15,15 @@ GARCH volatility states with their m innovations, and the ARMA filter state),
 a stationary draw independent of eps_{-k..0} (Wu's physical dependence
 coupling). So a scan draws a bank of N = samples states, the ends of
 ``default_burn_in(spec)``-step paths from the fixed point (as ``simulate``
-does), in blocks of about 4 MiB of draws from the stream (seed,
-_BANK_STREAM). Outer sample i draws from the stream (seed, i) such a path
-followed by eps_{-kmax..0}, then the bank indices of its R redraws. Its X_0
-runs from its own end state over eps_{-kmax..0}, redraw r at each k from its
-bank state over eps_{-k..0}, k + 1 steps; the one arithmetic makes a
-finite-dependence process give redraws equal to the base bit for bit, and
-the redraw averages are exact sums (``math.fsum``), so such a process gives
-nu = 0. Every burn-in path, the bank's and each sample's, runs in place over
+does), drawn in order from the stream (seed, _BANK_STREAM) in the chunks
+``parallel.run_chunked`` sets at 16 bytes an innovation; splitting one
+stream's draws by rows moves none of them. Outer sample i draws from the
+stream (seed, i) such a path followed by eps_{-kmax..0}, then the bank
+indices of its R redraws. Its X_0 runs from its own end state over
+eps_{-kmax..0}, redraw r at each k from its bank state over eps_{-k..0},
+k + 1 steps; the one arithmetic makes a finite-dependence process give
+redraws equal to the base bit for bit, and the redraw averages are exact
+sums (``math.fsum``), so such a process gives nu = 0. Every burn-in path, the bank's and each sample's, runs in place over
 its own draws; the window eps_{-kmax..0}, which every k shares, stays
 intact. Estimates depend on the largest k and on N, not on chunks or
 threads; the corrected value estimates nu^2 (1 + 1/N).
@@ -37,9 +38,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .parallel import run_chunked
-from .garch import default_burn_in
-from .processes import IidSpec, ProcessSpec, innovation_driver, pre_window, values_from_innovations
-from .arma import ArmaSpec
+from .processes import ProcessSpec, path_layout, values_from_innovations
 from .rng import stream_generator
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
 DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
 DEFAULT_PRE_WINDOW = 200  # unused here; perfbench/workloads.py reads it for ned_garch's nominal step count
-_BLOCK_BYTES = 2**23  # a bank block draws _BLOCK_BYTES // 16 innovations; the blocks fix the bank's draw order
 _BANK_STREAM = 2**32 - 1  # the bank's stream (seed, _BANK_STREAM); outer sample indices stay below it
 
 
@@ -144,11 +142,6 @@ class NedScan:
         return list(zip(self.k_values, self.nu_hat, self.se, self.nu_hat_jk))
 
 
-def _require_causal(spec: ProcessSpec):
-    if isinstance(spec, ArmaSpec):
-        spec.require_causal()
-
-
 def _end_states(spec, m, eps):
     """Markov states at the end of the paths ``eps`` (..., T) run from the
     fixed point: their last m innovations, then the carried state. The
@@ -174,16 +167,17 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
         raise ParameterError("k values must be >= 0")
     if redraws < 2 or samples < 2:
         raise ParameterError("need redraws >= 2 and samples >= 2")
-    _require_causal(spec)
-    dist = innovation_driver(spec)
-    m = pre_window(spec)  # GARCH recursion consumes a pre-window of its own
-    lead = m + (0 if isinstance(spec, IidSpec) else default_burn_in(spec))  # innovations before eps_{-kmax}
+    dist, m, burn = path_layout(spec)
+    lead = m + burn  # innovations before eps_{-kmax}
     grid = sorted(set(ks))
     kmax = grid[-1]
-    rng = stream_generator(seed, _BANK_STREAM)
-    block = max(1, _BLOCK_BYTES // (16 * max(lead, 1)))  # bank rows per draw
-    draws = (dist.sample(rng, (min(block, samples - lo), lead)) for lo in range(0, samples, block))
-    bank = np.concatenate([_end_states(spec, m, eps) for eps in draws])
+    rng, ends = stream_generator(seed, _BANK_STREAM), []
+
+    def bank_rows(start, stop):  # run_chunked's one thread takes the ranges in order
+        ends.append(_end_states(spec, m, dist.sample(rng, (stop - start, lead))))
+
+    run_chunked(samples, bank_rows, 16 * lead)
+    bank = np.concatenate(ends)
     d_all = np.empty((len(functionals), len(grid), 2, samples))  # raw and corrected terms
 
     def task(start, stop):

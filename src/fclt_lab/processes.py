@@ -321,6 +321,21 @@ def pre_window(spec: ProcessSpec) -> int:
     return 0
 
 
+def path_layout(spec: ProcessSpec, burn_in: int | None = None) -> tuple[InnovationDist, int, int]:
+    """The driver law, the pre-window and the burn-in of a path of ``spec``.
+
+    The burn-in defaults to ``default_burn_in`` and is 0 for iid specs. This
+    is the one causality gate of simulation: a non-causal ARMA spec raises
+    NonCausalError.
+    """
+    burn = 0 if isinstance(spec, IidSpec) else default_burn_in(spec) if burn_in is None else burn_in
+    if burn < 0:
+        raise ParameterError("burn_in must be >= 0")
+    if isinstance(spec, ArmaSpec):
+        spec.require_causal()
+    return innovation_driver(spec), pre_window(spec), burn
+
+
 def _simulate_rows(
     spec: ProcessSpec, n: int, burn_in: int | None, rngs, rows: int, strict: bool
 ) -> tuple[np.ndarray, int]:
@@ -332,16 +347,8 @@ def _simulate_rows(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if isinstance(spec, IidSpec):
-        burn = 0
-    else:
-        burn = default_burn_in(spec) if burn_in is None else burn_in
-    if burn < 0:
-        raise ParameterError("burn_in must be >= 0")
-    if isinstance(spec, ArmaSpec):
-        spec.require_causal()
-    total = pre_window(spec) + burn + n
-    dist = innovation_driver(spec)
+    dist, m, burn = path_layout(spec, burn_in)
+    total = m + burn + n
     eps = np.empty((rows, total))
     for row, rng in enumerate(rngs):
         eps[row] = dist.sample(rng, total)

@@ -22,7 +22,7 @@ from .garch import AugGarchSpec
 from .innovations import InnovationDist
 from .parallel import run_chunked
 from .processes import IidSpec, ProcessSpec, innovation_driver, simulate_batch, spec_fingerprint
-from .estimators import known_mean_abs_moment, sample_mean, sample_quantile
+from .estimators import _check_p, _check_r, known_mean_abs_moment, sample_mean, sample_quantile
 
 __all__ = ["Truth", "TRUTH_ENTRIES", "closed_form_truth", "pilot_truth", "truth_from_sample", "resolve_truth"]
 
@@ -85,8 +85,8 @@ def _arma_marginal_std(spec: ArmaSpec) -> float:
 
 def closed_form_truth(spec: ProcessSpec, p: float, r: int) -> Truth | None:
     """Exact truth when the marginal admits one, else None."""
-    if not 0.0 < p < 1.0:  # p = 0 or 1 has an infinite quantile and no density there
-        raise ParameterError(f"quantile level p must lie in (0, 1), got {p}")
+    _check_p(p)
+    _check_r(r)
     if isinstance(spec, IidSpec):
         dist = spec.innovation
         if dist.is_discrete:

@@ -568,3 +568,24 @@ def test_mc_mgarch_refusal_names_the_exponential_moment_not_positivity(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("refused: conditions fail: L_r computed=0.5 ")
     assert "A computed" not in err
+
+
+@pytest.mark.parametrize("model", ["garch", "tsgarch"])
+def test_check_gamma_of_a_model_without_one_exits_2(garch_spec_file, tmp_path, capsys, model):
+    spec = _spec_file(tmp_path, garch_spec_file, lambda s: s | {"model": model, "gamma": [0.3]})
+    assert main(["check", "--spec", spec, "--r", "1"]) == 2
+    _assert_one_line_error(capsys, f"gamma is not a parameter of {model}")
+
+
+@pytest.mark.parametrize("field", ["truth", "pilot"])
+def test_mc_null_truth_or_pilot_counts_as_absent(tmp_path, field):
+    cfg = {"experiment": "clt", "spec": {"model": "iid", "innovation": {"kind": "standard_normal"}},
+           "p": 0.3, "r": 2, "n": 100, "reps": 8, "seed": 1}
+    truths = []
+    for name, given in [("absent", cfg), ("null", cfg | {field: None})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(given))
+        out = tmp_path / f"{name}_report.json"
+        assert main(["mc", "--config", str(tmp_path / f"{name}.json"), "--out", str(out), "--threads", "1"]) == 0
+        truths.append(json.loads(out.read_text())["truth"])
+    assert truths[1] == truths[0]
+    assert set(truths[1]["provenance"].values()) == {"closed-form"}

@@ -221,3 +221,56 @@ def test_selection_leaves_its_input_alone_unless_told(fn):
     assert np.array_equal(np.sort(block[:, :200]), np.sort(before[:, :200]), equal_nan=True)
     assert np.array_equal(block[:, 200:], before[:, 200:], equal_nan=True)
     assert np.array_equal(fn(block, overwrite_input=True), default, equal_nan=True)
+
+
+# --- one p check and one r check for every entry -------------------------------------
+
+
+def _p_and_r_entries():
+    from fclt_lab.asymptotics import a_r_quadrature, iid_gamma
+    from fclt_lab.conditions import check_exponential_condition, check_polynomial_condition
+    from fclt_lab.harness import ExperimentConfig
+    from fclt_lab.innovations import InnovationDist
+    from fclt_lab.processes import IidSpec
+    from fclt_lab.truth import closed_form_truth
+
+    garch = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
+    egarch = AugGarchSpec(model="egarch", omega=0.0, alpha=(0.1,), beta=(0.5,), gamma=(0.0,))
+    takes_p = {
+        "ExperimentConfig": lambda p: ExperimentConfig(spec=garch, p=p, r=2, n=10, reps=2),
+        "closed_form_truth": lambda p: closed_form_truth(IidSpec(), p, 2),
+        "iid_gamma": lambda p: iid_gamma(InnovationDist(), p, 2),
+        "sample_quantile": lambda p: sample_quantile([1.0, 2.0], p),
+    }
+    takes_r = {
+        "ExperimentConfig": lambda r: ExperimentConfig(spec=garch, p=0.5, r=r, n=10, reps=2),
+        "closed_form_truth": lambda r: closed_form_truth(IidSpec(), 0.5, r),
+        "iid_gamma": lambda r: iid_gamma(InnovationDist(), 0.5, r),
+        "a_r_quadrature": lambda r: a_r_quadrature(InnovationDist("uniform"), r, 0.1),
+        "check_polynomial_condition": lambda r: check_polynomial_condition(garch, r),
+        "check_exponential_condition": lambda r: check_exponential_condition(egarch, r),
+        "centred_abs_moment": lambda r: centred_abs_moment([1.0, 2.0], r),
+    }
+    return takes_p, takes_r
+
+
+P_ENTRIES, R_ENTRIES = _p_and_r_entries()
+
+
+def _message(call, value) -> str:
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("p", [0, 1, math.nan])
+@pytest.mark.parametrize("entry", sorted(P_ENTRIES))
+def test_every_entry_refuses_a_quantile_level_with_one_message(entry, p):
+    assert _message(P_ENTRIES[entry], p) == f"quantile level p must lie in (0, 1), got {p}"
+
+
+@pytest.mark.parametrize("r", [0, 1.5, True])
+@pytest.mark.parametrize("entry", sorted(R_ENTRIES))
+def test_every_entry_refuses_a_moment_order_with_one_message(entry, r):
+    # r = 1.5 has no a_r = r E[X^(r-1) sgn(X)^r], and a bool is no order, as a bool is no seed
+    assert _message(R_ENTRIES[entry], r) == f"moment order r must be a positive integer, got {r}"

@@ -465,3 +465,70 @@ def test_overwrite_input_peak_memory_is_a_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20 + 6 * 2**20, peak / 2**20  # a 1-MiB tile, its copies and temporaries
+
+
+# --- gamma and the power-family coefficient -------------------------------------
+
+NAMED_MODELS = {  # the fields that make a valid p = q = 1 spec of each named model, gamma empty
+    "apgarch": {"delta": 0.7}, "agarch": {}, "gjr": {}, "garch": {}, "arch": {"q": 0, "beta": ()},
+    "tgarch": {}, "tsgarch": {}, "pgarch": {"delta": 1.5}, "vgarch": {}, "ngarch": {}, "mgarch": {}, "egarch": {},
+}
+
+
+def _named(model, **fields):
+    return AugGarchSpec(**{"model": model, "omega": 0.1, "alpha": (0.1,), "beta": (0.8,)} | NAMED_MODELS[model] | fields)
+
+
+# the models whose published volatility equation has a gamma term
+READS_GAMMA = {"apgarch", "agarch", "tgarch", "gjr", "vgarch", "ngarch", "egarch"}
+
+
+@pytest.mark.parametrize("model", sorted(NAMED_MODELS))
+def test_gamma_is_accepted_exactly_where_the_transforms_read_it(model):
+    # an accepted gamma must move some g_i or c_j on a grid; the others refuse it by name
+    grid = np.linspace(-3.0, 3.0, 61)
+
+    def transforms(spec):
+        with np.errstate(divide="ignore"):
+            return [np.broadcast_to(f(grid), grid.shape) for f in spec.g_transforms() + spec.c_transforms()]
+
+    try:
+        with_gamma = _named(model, gamma=(0.3,))
+    except ParameterError as exc:
+        assert str(exc) == f"gamma is not a parameter of {model}"
+        assert model not in READS_GAMMA
+        return
+    assert model in READS_GAMMA
+    assert any(not np.array_equal(a, b) for a, b in zip(transforms(_named(model)), transforms(with_gamma)))
+
+
+def _pow_even(z, exponent):  # the former exact paths at 1 and 2, for z >= 0
+    return z if exponent == 1.0 else z * z if exponent == 2.0 else z**exponent
+
+
+POWER_FAMILY = {  # model -> (gammas it reads, deltas it takes, the former coefficient c(e; a, b, g, delta))
+    "garch": ((0.0,), (None,), lambda e, a, b, g, d: a * (e * e) + b),
+    "arch": ((0.0,), (None,), lambda e, a, b, g, d: a * (e * e)),
+    "tsgarch": ((0.0,), (None,), lambda e, a, b, g, d: a * np.abs(e) + b),
+    "pgarch": ((0.0,), (0.5, 0.7, 1.0, 1.5, 2.0), lambda e, a, b, g, d: a * _pow_even(np.abs(e), d) + b),
+    "agarch": ((0.0, 0.3, -0.3, 1.0, -1.0), (None,), lambda e, a, b, g, d: a * _pow_even(np.abs(e) - g * e, 2.0) + b),
+    "tgarch": ((0.0, 0.3, -0.3, 1.0, -1.0), (None,), lambda e, a, b, g, d: a * _pow_even(np.abs(e) - g * e, 1.0) + b),
+    "apgarch": (
+        (0.0, 0.3, -0.3, 1.0, -1.0),
+        (0.5, 0.7, 1.0, 1.5, 2.0),
+        lambda e, a, b, g, d: a * _pow_even(np.abs(e) - g * e, 2.0 * d) + b,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(POWER_FAMILY))
+def test_power_family_coefficient_keeps_the_former_bits(model):
+    eps = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3, 1.0, -1.0], np.linspace(-4.0, 4.0, 97)])
+    gammas, deltas, former = POWER_FAMILY[model]
+    a, b = 0.1, 0.0 if model == "arch" else 0.8
+    for g in gammas:
+        for d in deltas:
+            fields = {"gamma": (g,) if model in ("agarch", "tgarch", "apgarch") else (), "delta": d}
+            spec = _named(model, **{k: v for k, v in fields.items() if v is not None})
+            [c] = spec.c_transforms()
+            assert _same_bits(np.asarray(c(eps), dtype=np.float64), former(eps, a, b, g, d)), (g, d)

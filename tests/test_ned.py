@@ -282,3 +282,29 @@ def test_scan_peak_memory_is_about_twice_its_bank_draws(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * draws, peak / draws
+
+
+@pytest.mark.parametrize("spec,functional", CORE_CASES)
+def test_scan_over_a_bank_of_several_chunks_matches_the_reference(monkeypatch, spec, functional):
+    # 7 bank rows of 16 bytes an innovation, 16,000 or 16,016 bytes each, fall into 4 chunks
+    # (an iid bank draws nothing); the reference draws the bank in one call
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**15)
+    sizes = []
+    sample = InnovationDist.sample
+    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size: sizes.append(size) or sample(self, rng, size))
+    ks = [3, 0, 5, 3, 1]
+    scan = ned_scan(spec, functional, ks, redraws=4, samples=7, seed=(5, 2))
+    bank_draws = [size for size in sizes if np.ndim(size) == 1]  # the samples draw 1-d paths
+    assert len(bank_draws) == (1 if isinstance(spec, IidSpec) else 4)
+    assert scan.to_rows() == reference_scan(spec, functional, ks, 4, 7, (5, 2))
+
+
+@pytest.mark.parametrize("kind", ["standard_normal", "student_t", "uniform", "rademacher"])
+def test_draws_split_at_any_row_equal_one_draw(kind):
+    # the bank's chunks split its one stream by rows, which must not move a draw
+    dist = InnovationDist(kind, dof=6.0 if kind == "student_t" else None)
+    whole = dist.sample(stream_generator(9, 1), (7, 33))
+    for split in range(8):
+        rng = stream_generator(9, 1)
+        parts = np.concatenate([dist.sample(rng, (split, 33)), dist.sample(rng, (7 - split, 33))])
+        assert np.array_equal(parts, whole), split

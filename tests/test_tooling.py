@@ -20,7 +20,8 @@ import them from it; it alone defines the one in-block recursion, ``linear_scan`
 pass, and ``tiles`` takes no unit: it derives one from the path length and
 the recursion's lag count, a property of the spec. Only
 ``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
-module names a chunk size, reads the budget or binds a name for a chunk."""
+module names a chunk size, reads the budget or binds a name for a chunk. The
+chunk budget and the tile budget are the only module-level ``*_BYTES`` names."""
 
 import ast
 import json
@@ -214,6 +215,19 @@ def test_only_parallel_sizes_chunks():
     [run_chunked] = [node for node in parallel.body if getattr(node, "name", None) == "run_chunked"]
     # perfbench/tracer.py reads a positional threads after row_bytes
     assert [a.arg for a in run_chunked.args.args] == ["total", "task", "row_bytes", "threads"]
+
+
+def test_only_parallel_and_scan_bind_byte_budgets():
+    # a *_BYTES constant elsewhere would be a second memory policy beside the chunks and the tiles
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    budgets = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                found = [n for n in _module_names(ast.parse(fh.read())) if n.endswith("_BYTES")]
+            if found:
+                budgets[name] = found
+    assert budgets == {"parallel.py": ["CHUNK_BYTES"], "scan.py": ["TILE_BYTES"]}
 
 
 _QUADRATURE = re.compile(
