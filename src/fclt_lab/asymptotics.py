@@ -61,7 +61,7 @@ class Gamma2:
     g11: float
     g22: float
     g12: float
-    a_r: float
+    a_r: float | None  # None in a given target whose a_r is unknown
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
@@ -98,9 +98,6 @@ class TrivariateLRC:
         if not self.f_at_q > 0:
             raise SingularityError(f"f_at_q must be > 0, got {self.f_at_q}")
         object.__setattr__(self, "sigma", sigma)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.sigma).min())
 
     def to_obj(self) -> dict:
         return {
@@ -350,7 +347,6 @@ def trivariate_long_run_cov_mc(
     n_per_rep: int = 10_000,
     n_reps: int = 400,
     seed=0,
-    burn_in: int | None = None,
     threads: int = 1,
 ) -> TrivariateLRC:
     """Replication-MC estimate of the trivariate long-run covariance.
@@ -380,15 +376,14 @@ def trivariate_long_run_cov_mc(
     lag_acc = np.zeros((n_reps, lags.size, 3, 3))  # per replication, summed in replication order below
 
     def task(start, stop):
-        series = _component_series(simulate_batch(spec, n_per_rep, burn_in, seed, range(start, stop)), r, q_true)
+        series = _component_series(simulate_batch(spec, n_per_rep, None, seed, range(start, stop)), r, q_true)
         rep_sigma[start:stop] = _long_run_sum(series, max_lag, lag_out=lag_acc[start:stop])
 
     run_chunked(n_reps, task, 32 * n_per_rep, threads=threads)  # a row and its (3, n) series
     tail_bound = _geometric_tail_bound(lags, np.linalg.norm(lag_acc.sum(axis=0) / n_reps, axis=(1, 2)), n_per_rep)
 
     rep_scaled = _scale_indicator_row(rep_sigma, f_at_q)
-    sigma = rep_scaled.mean(axis=0)
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = rep_scaled.mean(axis=0)  # exactly symmetric, as every replication's sum is
     mc_se = rep_scaled.std(axis=0, ddof=1) / math.sqrt(n_reps)
     return TrivariateLRC(
         sigma=sigma,

@@ -270,7 +270,8 @@ def _cmd_mc(args) -> int:
         target = gamma_from_trivariate(lrc, truth.a_r)
         target_lrc_obj = lrc.to_obj() | target.to_obj()
     elif tgt is not None:
-        target = Gamma2(**gamma, a_r=float(truth.a_r or 0.0 if target_a_r is None else target_a_r))
+        a_r = truth.a_r if target_a_r is None else target_a_r
+        target = Gamma2(**gamma, a_r=None if a_r is None else float(a_r))  # unknown stays null
 
     report = runners[experiment](replace(cfg, truth=truth, target=target), threads=args.threads)
 

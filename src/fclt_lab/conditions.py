@@ -13,6 +13,12 @@ positivity, so there A is reported but does not gate a run. ARMA causality
 requires every root of the autoregressive polynomial to lie strictly outside
 the unit circle.
 
+Every threshold check builds its report through one rule, ``_report``: a
+value satisfies its condition only beyond the threshold by ``MARGIN``, a value
+within ``MARGIN`` of it is a "boundary: not satisfied", and a check may force
+"not satisfied" with a note of its own. Positivity (A) alone keeps its own
+rule: it is non-strict, a minimum of at least -1e-12 satisfies it.
+
 The quadrature oracle (``InnovationDist.expect``, a double-exponential rule
 through which every integral here goes) is authoritative; closed-form table
 rows are convenience paths cross-checked against it. Exponential-moment
@@ -76,26 +82,15 @@ class ConditionReport:
         return asdict(self)
 
 
-def _verdict(value: float, threshold: float, direction: str) -> tuple[bool, str | None]:
+def _report(name, value, threshold, method, direction="below", order=None, note=None, notes=(), fail=False):
+    """The one report rule of a threshold check: satisfied iff ``value`` lies
+    beyond ``threshold`` by MARGIN on the ``direction`` side and ``fail`` is
+    not set. The notes join with "; " in order: the given ``note``, then
+    "boundary: not satisfied" within MARGIN of the threshold, then ``notes``."""
     ok = value < threshold - MARGIN if direction == "below" else value > threshold + MARGIN
-    boundary = threshold - MARGIN <= value <= threshold + MARGIN
-    return ok, ("boundary: not satisfied" if boundary else None)
-
-
-def _report(name, value, threshold, method, direction="below", order=None, note=None) -> ConditionReport:
-    ok, boundary_note = _verdict(value, threshold, direction)
-    if boundary_note is not None:
-        note = boundary_note if note is None else f"{note}; {boundary_note}"
-    return ConditionReport(
-        condition_name=name,
-        satisfied=ok,
-        computed_value=float(value),
-        threshold=float(threshold),
-        method=method,
-        direction=direction,
-        order=order,
-        discrepancy_note=note,
-    )
+    boundary = "boundary: not satisfied" if threshold - MARGIN <= value <= threshold + MARGIN else None
+    note = "; ".join(part for part in (note, boundary, *notes) if part is not None) or None
+    return ConditionReport(name, ok and not fail, float(value), float(threshold), method, direction, order, note)
 
 
 # --- generic moment oracle ----------------------------------------------------
@@ -177,25 +172,12 @@ def check_polynomial_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
     positivity = check_positivity(spec)
     g_sum = _norm_sum(spec.innovation, spec.g_transforms(), s)  # must be finite; quadrature raises otherwise
     c_sum = _norm_sum(spec.innovation, spec.c_transforms(), s)
-    ok, boundary = _verdict(c_sum, 1.0, "below")
-    note = boundary
+    notes = []
     if not positivity.satisfied:
-        msg = f"positivity (A) fails: min transform value {positivity.computed_value:.3g} < 0"
-        note = msg if note is None else f"{note}; {msg}"
-        ok = False
+        notes.append(f"positivity (A) fails: min transform value {positivity.computed_value:.3g} < 0")
     if not math.isfinite(g_sum):
-        ok = False
-        note = (note + "; " if note else "") + "g-norm sum not finite"
-    return ConditionReport(
-        condition_name="P_s",
-        satisfied=ok,
-        computed_value=c_sum,
-        threshold=1.0,
-        method="quadrature",
-        direction="below",
-        order=s,
-        discrepancy_note=note,
-    )
+        notes.append("g-norm sum not finite")
+    return _report("P_s", c_sum, 1.0, "quadrature", order=s, notes=notes, fail=bool(notes))
 
 
 # --- exponential group -------------------------------------------------------------
@@ -280,27 +262,11 @@ def check_exponential_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
     else:
         c_sum = float(sum(abs(b) for b in spec.beta))  # c_j = beta_j exactly
         method = "closed_form"
-    ok, note = _verdict(c_sum, 1.0, "below")
     verdict, value = _exp_moment_class(spec, r)
+    note = f"exponential g-moment {verdict}"
     if verdict == "finite":
-        extra = f"exponential g-moment finite (truncated quadrature value {value:.6g})"
-    elif verdict == "divergent":
-        extra = "exponential g-moment divergent"
-        ok = False
-    else:
-        extra = "exponential g-moment inconclusive"
-        ok = False
-    note = extra if note is None else f"{note}; {extra}"
-    return ConditionReport(
-        condition_name="L_r",
-        satisfied=ok,
-        computed_value=c_sum,
-        threshold=1.0,
-        method=method,
-        direction="below",
-        order=float(r),
-        discrepancy_note=note,
-    )
+        note += f" (truncated quadrature value {value:.6g})"
+    return _report("L_r", c_sum, 1.0, method, order=float(r), notes=[note], fail=verdict != "finite")
 
 
 # --- GARCH strict-stationarity shortcut ----------------------------------------------
@@ -366,13 +332,9 @@ def table_closed_form_report(spec: AugGarchSpec, r: int) -> ConditionReport | No
     if r != 1:
         return None
 
-    if spec.model in ("agarch",) or (spec.model == "apgarch" and spec.delta == 1.0):
-        if not dist.is_symmetric:
-            return None
-        value = float(sum(a * (1.0 + g * g) + b for a, b, g in zip(al, be, ga)))
-        return _report("table2_row", value, 1.0, "closed_form", order=1.0)
-
-    if spec.model == "ngarch":
+    # ngarch under any unit-variance law, agarch and apgarch at delta = 1 under a symmetric one
+    symmetric_power = spec.model == "agarch" or (spec.model == "apgarch" and spec.delta == 1.0)
+    if spec.model == "ngarch" or (symmetric_power and dist.is_symmetric):
         value = float(sum(a * (1.0 + g * g) + b for a, b, g in zip(al, be, ga)))
         return _report("table2_row", value, 1.0, "closed_form", order=1.0)
 

@@ -13,12 +13,18 @@ quarantined. The chunks are sized from the byte budget
 not depend on the worker count, so reports are byte-identical for any
 --threads value. The empirical covariances are compared against a target
 with per-entry Monte Carlo standard errors.
+
+A clt or fclt report serializes its own fields by one rule: arrays and
+tuples become lists and a nested report or target gives its own ``to_obj``;
+the fclt report adds only its note. A decay table's JSON shape (columns and
+rows) differs from its fields, so it keeps its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,7 +65,6 @@ class ExperimentConfig:
     target: Gamma2 | None = None
     t_grid: tuple[float, ...] | None = None
     n_ladder: tuple[int, ...] | None = None
-    burn_in: int | None = None
     se_threshold: float = 3.0  # pass/fail band in MC standard errors
 
     def __post_init__(self):
@@ -71,6 +76,22 @@ class ExperimentConfig:
             raise ParameterError("n must be >= 1")
         if not (math.isfinite(self.se_threshold) and self.se_threshold > 0):
             raise ParameterError(f"se_threshold must be a finite number > 0, got {self.se_threshold}")
+
+
+def _fields_obj(report) -> dict:
+    """A report's fields as JSON values: arrays and tuples become lists, and a
+    nested report or target gives its own ``to_obj``."""
+    obj = {}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif hasattr(value, "to_obj"):
+            value = value.to_obj()
+        obj[field.name] = value
+    return obj
 
 
 @dataclass(frozen=True)
@@ -91,22 +112,7 @@ class CltReport:
     pilot_fingerprint: str | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean.tolist(),
-            "empirical_cov": self.empirical_cov.tolist(),
-            "cov_se": self.cov_se.tolist(),
-            "target": None if self.target is None else self.target.to_obj(),
-            "per_entry_z": None if self.per_entry_z is None else self.per_entry_z.tolist(),
-            "verdict": self.verdict,
-            "marginal_skewness": self.marginal_skewness.tolist(),
-            "marginal_excess_kurtosis": self.marginal_excess_kurtosis.tolist(),
-            "skewness_z": self.skewness_z.tolist(),
-            "kurtosis_z": self.kurtosis_z.tolist(),
-            "used": self.used,
-            "quarantined": self.quarantined,
-            "config_fingerprint": self.config_fingerprint,
-            "pilot_fingerprint": self.pilot_fingerprint,
-        }
+        return _fields_obj(self)
 
 
 @dataclass(frozen=True)
@@ -126,20 +132,7 @@ class FcltReport:
     # process-level limit only; full weak convergence is out of numerical reach
 
     def to_obj(self) -> dict:
-        return {
-            "t_grid": list(self.t_grid),
-            "prefix_fractions": list(self.prefix_fractions),
-            "cov_by_t": self.cov_by_t.tolist(),
-            "scaling_z": self.scaling_z.tolist(),
-            "increment_corr": self.increment_corr.tolist(),
-            "increment_corr_z": self.increment_corr_z.tolist(),
-            "increment_windows": self.increment_windows,
-            "clt": self.clt.to_obj(),
-            "used": self.used,
-            "quarantined": self.quarantined,
-            "config_fingerprint": self.config_fingerprint,
-            "note": "finite-dimensional checks of the process-level limit",
-        }
+        return _fields_obj(self) | {"note": "finite-dimensional checks of the process-level limit"}
 
 
 @dataclass(frozen=True)
@@ -230,11 +223,9 @@ def _entry_verdicts(cov, se, target: Gamma2 | None, threshold: float, used: int)
 
 
 def _config_fingerprint(cfg: ExperimentConfig) -> str:
-    import hashlib
-
-    desc = (
+    desc = (  # every run takes the default burn-in; "burn=None" keeps the fingerprints of earlier runs
         f"{spec_fingerprint(cfg.spec)}|p={cfg.p}|r={cfg.r}|n={cfg.n}|reps={cfg.reps}|"
-        f"seed={cfg.seed}|t_grid={cfg.t_grid}|ladder={cfg.n_ladder}|burn={cfg.burn_in}"
+        f"seed={cfg.seed}|t_grid={cfg.t_grid}|ladder={cfg.n_ladder}|burn=None"
     )
     return hashlib.sha256(desc.encode()).hexdigest()[:16]
 
@@ -252,7 +243,7 @@ def _replications(cfg: ExperimentConfig, lengths, stat, threads: int) -> tuple[n
     parts = {}  # keyed by chunk start
 
     def task(start, stop):
-        values = simulate_batch(cfg.spec, lengths[-1], cfg.burn_in, cfg.seed, range(start, stop))
+        values = simulate_batch(cfg.spec, lengths[-1], None, cfg.seed, range(start, stop))
         parts[start] = stat([values[:, :k] for k in lengths])
 
     run_chunked(cfg.reps, task, 8 * lengths[-1], threads=threads)
@@ -305,10 +296,8 @@ def run_fclt_experiment(cfg: ExperimentConfig, threads: int = 1) -> FcltReport:
     y, fractions, used, quarantined = _pairs(cfg, grid, threads)
 
     # per-t covariance and the linear-growth z statistic
-    cov_by_t = np.empty((len(grid), 2, 2))
+    cov_by_t = np.stack([_cov_and_se(y[:, i])[1] for i in range(len(grid))])
     centered = y - y.mean(axis=0, keepdims=True)
-    for i in range(len(grid)):
-        cov_by_t[i] = _cov_and_se(y[:, i])[1]
     scaling_z = np.zeros_like(cov_by_t)
     last = centered[:, -1]
     for i, frac in enumerate(fractions):

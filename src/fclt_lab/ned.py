@@ -22,11 +22,12 @@ stream (seed, i) such a path followed by eps_{-kmax..0}, then the bank
 indices of its R redraws. Its X_0 runs from its own end state over
 eps_{-kmax..0}, redraw r at each k from its bank state over eps_{-k..0},
 k + 1 steps; the one arithmetic makes a finite-dependence process give
-redraws equal to the base bit for bit, and the redraw averages are exact
-sums (``math.fsum``), so such a process gives nu = 0. Every burn-in path, the bank's and each sample's, runs in place over
-its own draws; the window eps_{-kmax..0}, which every k shares, stays
-intact. Estimates depend on the largest k and on N, not on chunks or
-threads; the corrected value estimates nu^2 (1 + 1/N).
+redraws equal to the base bit for bit. The redraw average is taken over the
+redraws' deviations from the base value, each an exact 0 for such a redraw,
+so such a process gives nu = 0. Every burn-in path, the bank's and each
+sample's, runs in place over its own draws; the window eps_{-kmax..0}, which
+every k shares, stays intact. Estimates depend on the largest k and on N,
+not on chunks or threads; the corrected value estimates nu^2 (1 + 1/N).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ DEFAULT_REDRAWS = 64
 DEFAULT_SAMPLES = 4096
 DEFAULT_PRE_WINDOW = 200  # unused here; perfbench/workloads.py reads it for ned_garch's nominal step count
 _BANK_STREAM = 2**32 - 1  # the bank's stream (seed, _BANK_STREAM); outer sample indices stay below it
+_RATE_TOLERANCE = 0.1  # how far below the identity's rate a functional's geometric rate may fit
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,12 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
         for j, k in enumerate(grid):
             x0_redraw = _last_values(spec, m, starts, fixed[:, None, kmax - k :])
             for f, functional in enumerate(functionals):
-                g_redraw = functional.apply(x0_redraw)
-                # exact summation for the redraw average so identical redraws cancel
-                # exactly: finite-dependence processes then give nu_hat = 0, not noise
-                avg = np.array([math.fsum(r) for r in g_redraw.tolist()]) / redraws
-                d = (g_base[f] - avg) ** 2
-                dev = g_redraw - avg[:, None]
+                # deviations from the base: a redraw equal to it gives an exact 0, so
+                # finite-dependence processes give nu_hat = 0, not rounding noise
+                dev = functional.apply(x0_redraw) - g_base[f][:, None]
+                shift = dev.sum(axis=1) / redraws  # redraw average minus the base value
+                d = shift * shift
+                dev -= shift[:, None]
                 inner_var = np.einsum("ij,ij->i", dev, dev) / (redraws - 1)
                 d_all[f, j, 0, start:stop] = d
                 d_all[f, j, 1, start:stop] = d - inner_var / redraws
@@ -317,7 +319,6 @@ def functional_ned_comparison(
     redraws: int = DEFAULT_REDRAWS,
     samples: int = DEFAULT_SAMPLES,
     seed=0,
-    rate_tolerance: float = 0.1,
 ) -> FunctionalComparison:
     """Side-by-side scans for identity, indicator and |x|^r functionals.
 
@@ -334,7 +335,7 @@ def functional_ned_comparison(
     if base is not None and base.model == "geometric":
         for name in ("indicator", "abs_pow"):
             fit = scans[name].fit
-            if fit is not None and fit.model == "geometric" and fit.rate < base.rate - rate_tolerance:
+            if fit is not None and fit.model == "geometric" and fit.rate < base.rate - _RATE_TOLERANCE:
                 consistent = False
     return FunctionalComparison(
         identity=scans["identity"],

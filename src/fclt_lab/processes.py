@@ -61,13 +61,6 @@ class Path:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "seed", seed_key(self.seed))
 
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[-1])
-
-    def __len__(self) -> int:
-        return self.n
-
 
 # --- serialization ----------------------------------------------------------
 

@@ -255,7 +255,7 @@ from fclt_lab.asymptotics import trivariate_long_run_cov_mc
 from fclt_lab.garch import AugGarchSpec
 spec = AugGarchSpec(model="garch", omega=0.1, alpha=(0.1,), beta=(0.8,))
 lrc = trivariate_long_run_cov_mc(spec, 0.5, 2, q_true=0.0, f_at_q=0.4, max_lag=5,
-                                 n_per_rep=40_000, n_reps=4, seed=31, burn_in=100)
+                                 n_per_rep=40_000, n_reps=4, seed=31)
 h = hashlib.sha256()
 for part in (lrc.sigma, lrc.mc_se, lrc.rep_sigma):
     h.update(part.tobytes())

@@ -589,3 +589,48 @@ def test_mc_null_truth_or_pilot_counts_as_absent(tmp_path, field):
         truths.append(json.loads(out.read_text())["truth"])
     assert truths[1] == truths[0]
     assert set(truths[1]["provenance"].values()) == {"closed-form"}
+
+
+def test_check_arma_garch_with_a_discrete_law_notes_it(tmp_path, capsys):
+    garch = {"model": "garch", "p": 1, "q": 1, "omega": 0.1, "alpha": [0.1], "beta": [0.8],
+             "innovation": {"kind": "rademacher"}}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"model": "arma", "phi": [0.5], "innovation": garch}))
+    assert main(["check", "--spec", str(spec), "--r", "2"]) == 0
+    causality, stationarity = json.loads(capsys.readouterr().out)
+    assert causality["condition_name"] == "causality" and causality["discrepancy_note"] is None
+    assert stationarity["condition_name"] == "garch_stationarity" and stationarity["satisfied"] is True
+    assert stationarity["discrepancy_note"].startswith("innovation law is discrete")
+
+
+def _mc_body(tmp_path, name, cfg, *flags):
+    (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    out = tmp_path / f"{name}_report.json"
+    argv = ["mc", "--config", str(tmp_path / f"{name}.json"), "--out", str(out), "--threads", "1", *flags]
+    assert main(argv) == 0
+    body = json.loads(out.read_text())
+    del body["manifest"]  # wall time differs
+    return body
+
+
+def test_mc_flags_override_the_config(tmp_path):
+    cfg = {"experiment": "clt", "spec": {"model": "iid", "innovation": {"kind": "standard_normal"}},
+           "p": 0.5, "r": 2, "n": 100, "reps": 8, "seed": 1}
+    flags = {"p": 0.3, "r": 1, "n": 250, "reps": 12, "seed": 4}
+    argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+    body = _mc_body(tmp_path, "flags", cfg, *argv)
+    assert body == _mc_body(tmp_path, "written", cfg | flags)
+    assert (body["truth"]["p"], body["truth"]["r"]) == (0.3, 1)
+    assert body["report"]["used"] + body["report"]["quarantined"] == 12
+
+
+def test_mc_target_without_a_r_reports_it_unknown(tmp_path):
+    # neither the truth nor the target knows a_r: the target's a_r is null, not a made-up 0
+    truth = {"q_true": 0.0, "f_at_q": 0.3989422804014327, "mu": 0.0, "m_true": 1.0}
+    cfg = {"experiment": "clt", "spec": {"model": "iid", "innovation": {"kind": "standard_normal"}},
+           "p": 0.5, "r": 2, "n": 200, "reps": 20, "seed": 3, "truth": truth,
+           "target": {"g11": 1.5707963267948966, "g22": 2.0, "g12": 0.0}}
+    body = _mc_body(tmp_path, "no_a_r", cfg)
+    assert body["truth"]["a_r"] is None and body["report"]["target"]["a_r"] is None
+    body = _mc_body(tmp_path, "truth_a_r", cfg | {"truth": truth | {"a_r": 0.25}})
+    assert body["report"]["target"]["a_r"] == 0.25

@@ -143,6 +143,19 @@ def test_mgarch_boundary_beta():
     assert "boundary" in rep.discrepancy_note
 
 
+def test_notes_run_boundary_first_then_the_forced_failures():
+    # c = 1 sits on the threshold and g = eps goes negative: both notes, in that order
+    spec = AugGarchSpec(
+        model="generic", g_funcs=(lambda e: e,), c_funcs=(lambda e: np.ones(np.shape(e)),), lam=("power", 1.0)
+    )
+    rep = check_polynomial_condition(spec, 1)
+    boundary, positivity = rep.discrepancy_note.split("; ")
+    assert not rep.satisfied and boundary == "boundary: not satisfied"
+    assert positivity.startswith("positivity (A) fails: min transform value -")
+    rep = check_exponential_condition(AugGarchSpec(model="mgarch", p=1, q=1, omega=0.1, alpha=(0.0,), beta=(1.0,)), 1)
+    assert rep.discrepancy_note.startswith("boundary: not satisfied; exponential g-moment finite (")
+
+
 @pytest.mark.parametrize(
     "omega, alpha, dist, r",
     [

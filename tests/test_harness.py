@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fclt_lab.arma import ArmaSpec
 from fclt_lab import harness, parallel
-from fclt_lab.asymptotics import bahadur_remainder, iid_gamma, representation_gap
+from fclt_lab.asymptotics import Gamma2, bahadur_remainder, iid_gamma, representation_gap
 from fclt_lab.errors import ParameterError, RefusalError
 from fclt_lab.garch import AugGarchSpec
 from fclt_lab.harness import (
@@ -17,7 +18,7 @@ from fclt_lab.harness import (
     run_representation_experiment,
 )
 from fclt_lab.innovations import InnovationDist
-from fclt_lab.processes import IidSpec, simulate_batch
+from fclt_lab.processes import IidSpec, default_burn_in, simulate_batch
 from fclt_lab.truth import Truth, closed_form_truth, truth_from_sample
 
 NORMAL = InnovationDist()
@@ -44,6 +45,22 @@ def test_clt_iid_passes_all_entries():
     assert rep.used == 300 and rep.quarantined == 0
     assert all(v == "pass" for row in rep.verdict for v in row), (rep.empirical_cov, rep.per_entry_z)
     assert abs(rep.empirical_mean[0]) < 0.5  # sqrt(n)-scaled centered, should be near 0
+
+
+def test_clt_fails_the_entries_a_wrong_target_misstates():
+    true = iid_gamma(NORMAL, 0.5, 2)
+    wrong = Gamma2(g11=2.0 * true.g11, g22=true.g22, g12=true.g12 + 0.5, a_r=true.a_r)
+    rep = run_clt_experiment(iid_cfg(target=wrong))
+    assert rep.verdict == [["fail", "fail"], ["fail", "pass"]], rep.per_entry_z
+
+
+def test_clt_and_fclt_reports_serialize_their_fields():
+    rep = run_fclt_experiment(iid_cfg(reps=40, n=200, t_grid=(0.5,)))
+    obj = json.loads(json.dumps(rep.to_obj()))  # plain JSON values only: no default hook
+    assert obj.keys() == {f.name for f in fields(rep)} | {"note"}
+    assert obj["clt"] == rep.clt.to_obj() and obj["clt"].keys() == {f.name for f in fields(rep.clt)}
+    assert obj["t_grid"] == [0.5, 1.0] and obj["clt"]["target"] == rep.clt.target.to_obj()
+    assert obj["cov_by_t"] == rep.cov_by_t.tolist()
 
 
 def test_quarantine_accounting_and_small_m_inconclusive():
@@ -227,7 +244,7 @@ def _rung_by_rung(cfg, stat):
     """The decay table rows with every rung simulated on its own."""
     rows, used = [], []
     for n in cfg.n_ladder:
-        vals = stat(simulate_batch(cfg.spec, n, cfg.burn_in, cfg.seed, range(cfg.reps)))
+        vals = stat(simulate_batch(cfg.spec, n, None, cfg.seed, range(cfg.reps)))
         vals = vals[np.isfinite(vals)]
         a = np.abs(vals)
         sd = float(vals.std(ddof=1))
@@ -279,8 +296,8 @@ def test_ladder_rejects_empty_rungs():
 def test_bahadur_ladder_peak_memory_is_one_block():
     import tracemalloc
 
-    cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(1000, 4000, 40_000), burn_in=1000)
-    block = 64 * (GARCH11.pre_window + 1000 + 40_000) * 8
+    cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(1000, 4000, 40_000))
+    block = 64 * (GARCH11.pre_window + default_burn_in(GARCH11) + 40_000) * 8
     tracemalloc.start()
     try:
         run_bahadur_experiment(cfg)
@@ -297,7 +314,7 @@ def test_ladder_peak_memory_follows_the_chunk_budget_not_n(monkeypatch):
 
     monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**21)
     for top in (10_000, 100_000):
-        cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(top // 10, top), burn_in=1000)
+        cfg = ladder_cfg(GARCH11, reps=64, n_ladder=(top // 10, top))
         tracemalloc.start()
         try:
             run_bahadur_experiment(cfg)

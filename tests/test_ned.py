@@ -191,9 +191,10 @@ def reference_scan(spec, functional, k_values, redraws, samples, seed):
             x[i, 0] = x0(state, fixed)
             x[i, 1:] = [x0(bank[j], fixed[kmax - k :]) for j in picks]
         g = functional.apply(x)
-        avg = np.array([math.fsum(row) for row in g[:, 1:]]) / redraws
-        d = (g[:, 0] - avg) ** 2
-        dev = np.ascontiguousarray(g[:, 1:]) - avg[:, None]
+        dev = g[:, 1:] - g[:, :1]  # each redraw's deviation from the base value
+        shift = dev.sum(axis=1) / redraws
+        d = shift * shift
+        dev -= shift[:, None]
         d_jk = d - np.einsum("ij,ij->i", dev, dev) / (redraws - 1) / redraws
         nu2, nu2_jk = float(d.sum()) / samples, float(d_jk.sum()) / samples
         se_nu2 = math.sqrt(max(float((d_jk * d_jk).sum()) / samples - nu2_jk * nu2_jk, 0.0) / samples)

@@ -4,6 +4,8 @@ rename breaks it; each workload is built here at toy size (nothing runs), and
 the NED script runs at a small size. No library module may import a name it
 never uses, and no private module-level function or constant may go
 unreferenced in ``src/``, so dead imports and leftovers cannot pile up unseen.
+In ``conditions.py`` only ``_report`` and ``check_positivity`` build a
+``ConditionReport``, so the verdict and note rule is written once.
 No library module imports scipy at module level. Importing the package, and a
 normal-law GARCH ``check`` plus ``mc``, iid ``simulate`` plus closed-form
 ``mc`` or GARCH ``ned-scan``, load no scipy module at all; a Student t law
@@ -115,6 +117,19 @@ def test_every_private_module_name_is_referenced():
             defined += [(name, private) for private in _private_module_names(tree)]
             referenced |= _referenced_names(tree)
     assert not [f"{module}: {private}" for module, private in defined if private not in referenced]
+
+
+def test_only_report_and_positivity_build_condition_reports():
+    # one report rule: every threshold check goes through _report; positivity keeps its non-strict rule
+    with open(os.path.join(ROOT, "src", "fclt_lab", "conditions.py")) as fh:
+        tree = ast.parse(fh.read())
+    builders = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ConditionReport":
+                    builders.add(fn.name)
+    assert builders == {"_report", "check_positivity"}
 
 
 _STREAM_KEYING = re.compile(r"\b(?:SeedSequence|Philox)\b")
