@@ -11,10 +11,12 @@ linear filter applied to the innovation series.
 
 The MA part u = Theta(L) x runs first, on the whole tile at once; the AR part
 y_t = u_t + sum_i (-phi_i) y_{t-i} then runs as ``scan.linear_scan``, the
-block scan of the volatility recursion, with constant coefficients. The
-carried state is the last q innovations and the last p values. Across
-tiles a row also carries its last max(p, q) innovations, so the values can
-be written over the innovations: a caller that owns them holds one block.
+block scan of the volatility recursion, with constant coefficients, whose
+block responses the scan computes once per call; a tile works in the
+thread's ``scan`` workspace. The carried state is the last q innovations and
+the last p values. Across tiles a row also carries its last max(p, q)
+innovations, so the values can be written over the innovations: a caller
+that owns them holds one block.
 A call of at most 64 steps of an AR(1) keeps the bits of SciPy's IIR filter
 routine (the tests' oracle); any other call agrees with it to 1e-13 of the
 largest value (measured at most 4.4e-15, at phi = -0.999), whatever the
@@ -162,7 +164,7 @@ def arma_values_from_innovations(spec: ArmaSpec, eps: np.ndarray, state: np.ndar
             buf[L:] += sum(theta_j * buf[L - j : L - j + span] for j, theta_j in enumerate(spec.theta, start=1))
         lam = buf[L - p :]  # the AR part runs on u, from the p values before each block
         lam[:p, :b] = carry[:, block]
-        linear_scan(lam, [np.full((p + span, 1), -phi_j) for phi_j in spec.phi], p, b, s0 > 0)
+        linear_scan(lam, [-phi_j for phi_j in spec.phi], p, b, s0 > 0)
         carry[:, block] = lam[r : r + p].reshape(p, K, b)[:, -1]
         from_blocks(buf[L:].reshape(span, K, b), values[block, steps])
     final = np.concatenate([lead[:, L - q :], carry.T], axis=1)

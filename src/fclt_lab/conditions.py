@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,13 +272,13 @@ def check_exponential_condition(spec: AugGarchSpec, r: int) -> ConditionReport:
 # --- GARCH strict-stationarity shortcut ----------------------------------------------
 
 
-def check_garch_stationarity(spec: AugGarchSpec) -> ConditionReport:
+def check_garch_stationarity(spec: AugGarchSpec, note: str | None = None) -> ConditionReport:
     """Sufficient strict-stationarity condition sum alpha + sum beta < 1
-    (unit-variance innovations)."""
+    (unit-variance innovations); ``note`` comes first among the report's notes."""
     if spec.model != "garch":
         raise WrongGroupError("stationarity shortcut applies to the garch model only")
     value = float(sum(spec.alpha) + sum(spec.beta))
-    return _report("garch_stationarity", value, 1.0, "closed_form")
+    return _report("garch_stationarity", value, 1.0, "closed_form", note=note)
 
 
 # --- closed-form table rows -------------------------------------------------------
@@ -358,14 +358,13 @@ def check_spec(spec: ProcessSpec, r: int) -> list[ConditionReport]:
     if isinstance(spec, ArmaSpec):
         reports = [check_causality(spec)]
         if isinstance(spec.innovation, AugGarchSpec):
-            stat = check_garch_stationarity(spec.innovation)
+            note = None
             if spec.innovation.innovation.is_discrete:
-                stat = replace(
-                    stat,
-                    discrepancy_note="innovation law is discrete: absolute regularity of the "
-                    "GARCH innovations needs a positive density near 0",
+                note = (
+                    "innovation law is discrete: absolute regularity of the "
+                    "GARCH innovations needs a positive density near 0"
                 )
-            reports.append(stat)
+            reports.append(check_garch_stationarity(spec.innovation, note))
         return reports
     if isinstance(spec, AugGarchSpec):
         reports = [check_positivity(spec)]

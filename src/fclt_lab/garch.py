@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .innovations import InnovationDist
-from .scan import BLOCK, from_blocks, lagged_blocks, linear_scan, tiles
+from .scan import BLOCK, from_blocks, lagged_blocks, linear_scan, state_tile, tiles
 
 __all__ = [
     "AugGarchSpec",
@@ -306,14 +306,15 @@ def _tile(spec, g_list, c_list, eps, out, carry, resume):
     """One tile: the (B, w) values ``out`` from the (B, m + w) innovations ``eps``
     and the (m, B) states ``carry`` before them, by ``linear_scan`` on blocks of
     ``span`` steps (the last may be shorter); block 0 runs on from ``carry``
-    unless ``resume``. Returns the states at the last m steps and the
-    (span, K, B) mask of bad states."""
+    unless ``resume``. The tile works in this thread's ``scan`` workspace;
+    returns a copy of the states at the last m steps and the (span, K, B)
+    mask of bad states."""
     m = carry.shape[0]
     B, w = out.shape
     span = min(w, max(BLOCK, m))
     K, r = -(-w // span), (w - 1) % span + 1  # r: steps in the last block
     e = lagged_blocks(eps[:, :m], eps[:, m:], span)  # e[m + i, kB:(k + 1)B] = eps[:, m + k * span + i]
-    lam = np.empty(e.shape)  # the m states before each block, then its steps
+    lam = state_tile(e.shape)  # the m states before each block, then its steps
     lam[:m, :B] = carry
     body = lam[m:]
     body[...] = sum(g(e[m - i : m - i + span]) for i, g in enumerate(g_list, start=1))  # in lag order
@@ -322,7 +323,12 @@ def _tile(spec, g_list, c_list, eps, out, carry, resume):
     bad = ~np.isfinite(body) if spec.is_exponential else ~np.isfinite(body) | (body <= 0.0)
     bad = bad.reshape(span, K, B)
     bad[r:, -1] = False  # the padding of a short last block
+    if spec.is_exponential:  # sigma_t in place of the states
+        body *= 0.5
+        np.exp(body, out=body)
+    else:
+        body **= 0.5 / spec.lam_exponent  # numpy's sqrt at 0.5
     x = e[m:]  # X_t = sigma_t eps_t from the tile's copy of the innovations
-    x *= np.exp(0.5 * body) if spec.is_exponential else body ** (0.5 / spec.lam_exponent)  # ** is sqrt at 0.5
+    x *= body
     from_blocks(x.reshape(span, K, B), out)
     return final, bad

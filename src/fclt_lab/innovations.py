@@ -109,14 +109,22 @@ class InnovationDist:
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """``size`` draws from ``rng``; with ``out`` (C-contiguous, of shape
+        ``size``) they are written there and ``out`` is returned, the same bits.
+        The normal law draws straight into ``out``; the others draw, then copy."""
         if self.kind == "standard_normal":
-            return rng.standard_normal(size)
+            return rng.standard_normal(size, out=out)
         if self.kind == "student_t":
-            return rng.standard_t(self.dof, size) * self._t_scale
-        if self.kind == "rademacher":
-            return rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
-        return rng.uniform(-_SQRT3, _SQRT3, size)
+            draws = rng.standard_t(self.dof, size) * self._t_scale
+        elif self.kind == "rademacher":
+            draws = rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
+        else:
+            draws = rng.uniform(-_SQRT3, _SQRT3, size)
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
     # --- density / distribution -------------------------------------------
 

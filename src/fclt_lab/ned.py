@@ -26,7 +26,9 @@ redraws equal to the base bit for bit. The redraw average is taken over the
 redraws' deviations from the base value, each an exact 0 for such a redraw,
 so such a process gives nu = 0. Every burn-in path, the bank's and each
 sample's, runs in place over its own draws; the window eps_{-kmax..0}, which
-every k shares, stays intact. Estimates depend on the largest k and on N,
+every k shares, stays intact. The coupled paths of a chunk run in place in
+one block, allocated once and reused for every k, so a scan does not free
+and fault in a block per k. Estimates depend on the largest k and on N,
 not on chunks or threads; the corrected value estimates nu^2 (1 + 1/N).
 """
 
@@ -152,11 +154,15 @@ def _end_states(spec, m, eps):
     return np.concatenate([eps[..., eps.shape[-1] - m :], state], axis=-1)
 
 
-def _last_values(spec, m, start, suffix):
+def _last_values(spec, m, start, suffix, eps):
     """X_0 of the paths that run from the Markov states ``start`` over the
-    innovations ``suffix`` (broadcast against them)."""
-    eps = np.concatenate([start[..., :m], np.broadcast_to(suffix, start.shape[:-1] + suffix.shape[-1:])], axis=-1)
-    return np.ascontiguousarray(values_from_innovations(spec, eps, state=start[..., m:])[..., -1])
+    innovations ``suffix`` (broadcast against them). The caller's block
+    ``eps`` (..., m + suffix length) takes their innovations, and then their
+    values over them."""
+    eps[..., :m] = start[..., :m]
+    eps[..., m:] = suffix
+    values = values_from_innovations(spec, eps, state=start[..., m:], overwrite_input=True)
+    return np.ascontiguousarray(values[..., -1])
 
 
 def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
@@ -186,14 +192,15 @@ def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):
         base = np.empty((stop - start, lead + kmax + 1))
         picks = np.empty((stop - start, redraws), dtype=np.int64)
         for row, rng in enumerate(stream_generator(seed, each=range(start, stop))):  # its path, then its picks
-            base[row] = dist.sample(rng, lead + kmax + 1)
+            dist.sample(rng, lead + kmax + 1, out=base[row])
             picks[row] = rng.integers(samples, size=redraws)
         fixed = base[:, lead:]  # eps_{-kmax..0}
-        x0 = _last_values(spec, m, _end_states(spec, m, base[:, :lead]), fixed)
+        coupled = np.empty((stop - start, redraws, m + kmax + 1))  # every coupled block of the chunk, in turn
+        x0 = _last_values(spec, m, _end_states(spec, m, base[:, :lead]), fixed, coupled[:, 0])
         g_base = [functional.apply(x0) for functional in functionals]
         starts = bank[picks]  # (rows, R, m + S)
         for j, k in enumerate(grid):
-            x0_redraw = _last_values(spec, m, starts, fixed[:, None, kmax - k :])
+            x0_redraw = _last_values(spec, m, starts, fixed[:, None, kmax - k :], coupled[..., : m + k + 1])
             for f, functional in enumerate(functionals):
                 # deviations from the base: a redraw equal to it gives an exact 0, so
                 # finite-dependence processes give nu_hat = 0, not rounding noise

@@ -344,7 +344,7 @@ def _simulate_rows(
     total = m + burn + n
     eps = np.empty((rows, total))
     for row, rng in enumerate(rngs):
-        eps[row] = dist.sample(rng, total)
+        dist.sample(rng, total, out=eps[row])
     return values_from_innovations(spec, eps, strict=strict, overwrite_input=True)[:, burn:], burn
 
 

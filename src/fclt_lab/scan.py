@@ -25,17 +25,60 @@ sum_i R_i S_k,i (``add_block_starts``). For one lag, R is the running product
 of C over the block, and a constant C gives a (span, 1) R. Nothing is
 divided, so a zero or underflowing factor needs no special case, and only the
 block ends pass through a Python loop. The sums run in lag order with
-elementwise ufuncs: a BLAS matmul may round differently by shape.
+elementwise ufuncs: a BLAS matmul may round differently by shape. Constant
+coefficients (the AR filter's) give the same R for every block and tile, so
+it is computed once per (C, m, span) in Python floats, with the products and
+sums of the per-step loop in its lag order.
+
+Each thread keeps one workspace of three tile buffers, ``threading.local``
+and so dropped when the thread ends: the block-major copy of
+``lagged_blocks`` (``e`` of a GARCH tile, ``buf`` of an ARMA tile), the GARCH
+state tile of ``state_tile``, and the full-width responses R of
+``linear_scan`` or, for constant coefficients, the block-start products of
+``add_block_starts``. A slot grows to the largest tile it has served and never
+shrinks, and every later tile of every later call reuses it, so a warm
+recursion allocates no tile-sized buffer of its own and faults no page in
+afresh. Since a tile holds about TILE_BYTES, a thread retains at most three
+tile-sized buffers plus their lag rows (the responses of a d-lag recursion
+with varying coefficients take d). The GARCH and ARMA tiles share the
+slots: they never run nested, and in an ARMA-GARCH call the GARCH pass ends
+before the filter starts. A slot's contents last until the thread's next
+tile, so nothing returned to a caller is a view of one: the final states are
+copied out, and a tile's bad-step mask is read before the next tile starts.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import threading
+
 import numpy as np
 
-__all__ = ["BLOCK", "tiles", "lagged_blocks", "from_blocks", "linear_scan"]
+__all__ = ["BLOCK", "tiles", "lagged_blocks", "state_tile", "from_blocks", "linear_scan"]
 
 BLOCK = 64  # steps per block of the scan
 TILE_BYTES = 2**20  # size of one buffer of a tile
+
+
+class _Workspace(threading.local):
+    """One thread's tile buffers by slot name; a thread's own set goes when it ends."""
+
+    def __init__(self):
+        self.slots = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _slot(name, shape):
+    """This thread's slot ``name`` as a float array of ``shape``, grown to the
+    largest size it has served; its contents are whatever the last tile left."""
+    size, slots = math.prod(shape), _WORKSPACE.slots
+    if name not in slots or slots[name].size < size:
+        slots[name] = None  # the smaller buffer goes before the larger comes
+        slots[name] = np.empty(size)
+    return slots[name][:size].reshape(shape)
 
 
 def tiles(B: int, n: int, m: int):
@@ -53,10 +96,11 @@ def tiles(B: int, n: int, m: int):
 def lagged_blocks(lead, rows, span):
     """The (B, w) ``rows`` block-major as (L + span, K * B), 0 past step w: the
     column group of block k holds the L values before it, then its ``span``
-    steps; the (B, L) ``lead`` holds the values before block 0."""
+    steps; the (B, L) ``lead`` holds the values before block 0. The copy is
+    this thread's block slot, valid until its next tile."""
     (B, L), w = lead.shape, rows.shape[1]
     K = -(-w // span)
-    out = np.empty((L + span, K, B))
+    out = _slot("blocks", (L + span, K, B))
     out[:L, 0] = lead.T
     full, r = divmod(w, span)
     out[L:, :full] = rows[:, : full * span].reshape(B, full, span).transpose(2, 1, 0)
@@ -65,6 +109,12 @@ def lagged_blocks(lead, rows, span):
         out[L + r :, full] = 0.0
     out[:L, 1:] = out[span : span + L, :-1]
     return out.reshape(L + span, K * B)
+
+
+def state_tile(shape):
+    """This thread's state slot as a (m + span, K * B) tile beside a
+    ``lagged_blocks`` copy of that shape, valid until its next tile."""
+    return _slot("states", shape)
 
 
 def from_blocks(blocks, rows):
@@ -82,21 +132,23 @@ def linear_scan(lam, C, m, B, resume):
     first m rows hold the states before it, the rest its forcing. Block 0 runs
     on from the (m, B) states in lam[:m, :B] unless ``resume``; every other
     block runs from 0. Each C[j - 1] is a 2-d array over lam's rows, K * B
-    wide or, for a constant, 1 wide. Afterwards every block's first m rows
+    wide, or all are floats (constants). Afterwards every block's first m rows
     hold its true preceding states, so span >= m when K > 1."""
     d, span, K = len(C), lam.shape[0] - m, lam.shape[1] // B
     k0 = 0 if resume else 1  # the first block that runs from 0
     carry = lam[:m, :B].copy() if resume else None
     lam[:m, k0 * B :] = 0.0
-    # a constant as a float: an array-scalar ufunc call costs the least
-    C_rows = [Cj[:, 0].tolist() if Cj.shape[1] == 1 else list(Cj) for Cj in C]
+    constant = all(isinstance(Cj, float) for Cj in C)
+    C_rows = [[Cj] * (m + span) if constant else list(Cj) for Cj in C]
     scan = d > 0 and k0 < K
-    if scan:  # R[i]: the response to a unit state i + 1 steps before a block, on lam's rows
-        Cr = [rows if k0 == 0 or Cj.shape[1] == 1 else list(Cj[:, k0 * B :]) for rows, Cj in zip(C_rows, C)]
-        R = np.empty((d, m + span, 1 if all(Cj.shape[1] == 1 for Cj in C) else (K - k0) * B))
+    if scan and constant:  # R[i]: the response to a unit state i + 1 steps before a block, the same for all
+        R = np.array(_constant_responses(tuple(C), m, span))[:, :, None]
+    elif scan:  # ... and here on lam's rows
+        Cr = [rows if k0 == 0 else list(Cj[:, k0 * B :]) for rows, Cj in zip(C_rows, C)]
+        R = _slot("responses", (d, m + span, (K - k0) * B))
         R[:, :m] = np.eye(d, m)[:, ::-1, None]
         R_tmp, rest = np.empty(R.shape[2]), [(j, Cr[j - 1]) for j in range(2, d + 1)]  # the lags after the first
-    R_rows = [list(Ri) for Ri in R] if scan else []
+    R_rows = [list(Ri) for Ri in R] if scan and not constant else []
     lam_rows, tmp, terms = list(lam), np.empty(lam.shape[1]), list(enumerate(C_rows, start=1))
     for t in range(m, m + span):  # out= positional: the keyword form costs more per step
         acc = lam_rows[t]
@@ -118,6 +170,21 @@ def linear_scan(lam, C, m, B, resume):
         lam[:m, :B] = carry
 
 
+@functools.lru_cache(maxsize=64)
+def _constant_responses(C, m, span):
+    """R of ``linear_scan`` for the constant coefficients ``C`` as (d, m + span)
+    Python floats: the per-step products and sums of its loop, in lag order."""
+    d = len(C)
+    R = [[float(i == m - 1 - r) for r in range(m)] for i in range(d)]  # a unit state i + 1 steps back
+    for Ri in R:
+        for t in range(m, m + span):
+            acc = C[0] * Ri[t - 1]
+            for j in range(2, d + 1):
+                acc = acc + C[j - 1] * Ri[t - j]
+            Ri.append(acc)
+    return tuple(map(tuple, R))
+
+
 def _per_block(row, n, B):
     """The first n blocks' (B,) parts of a response row, or n times a (1,) row."""
     return [row] * n if len(row) == 1 else list(row.reshape(-1, B)[:n])
@@ -129,7 +196,9 @@ def add_block_starts(values, ends, T, resp, S):
     the first in S[:, 0]; in block order, S[i, k + 1] = ends[i][k] + sum_j
     T[i][j][k] S[j, k] in lag order j, with ``ends[i][k]`` the (B,) end of
     block k from zero. Then block k gains sum_j resp[j] S[j, k] in lag order,
-    each ``resp[j]`` broadcast against ``values`` and overwritten if it is as large."""
+    each ``resp[j]`` broadcast against ``values`` and overwritten if it is as
+    large; otherwise the products go through this thread's responses slot,
+    which then must not hold ``resp``."""
     d, _, B = S.shape
     S_rows, tmp = [list(Si) for Si in S], np.empty(B)
     terms = [(S_rows[i], S_rows[i][1:] if j else ends[i], T[i][j], S_rows[j]) for i in range(d) for j in range(d)]
@@ -137,6 +206,6 @@ def add_block_starts(values, ends, T, resp, S):
         for acc, first, Tij, Sj in terms:
             np.add(first[k], np.multiply(Tij[k], Sj[k], tmp), acc[k + 1])
     full = [Rj.shape == values.shape for Rj in resp]  # a full-sized resp holds its product: one tile less
-    tmp = None if all(full) else np.empty(values.shape)
+    tmp = None if all(full) else _slot("responses", values.shape)
     for Rj, Sj, own in zip(resp, S[:, : values.shape[1] // B], full):  # 2-d: a strided 3-d view would be copied
         np.add(values, np.multiply(Rj, Sj.reshape(-1), Rj if own else tmp), values)

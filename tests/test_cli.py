@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from fclt_lab import parallel
 from fclt_lab.cli import main
 from fclt_lab.processes import path_from_csv
 
@@ -136,6 +137,30 @@ def test_mc_clt_report_and_thread_determinism(tmp_path):
     del a["manifest"], b["manifest"]  # wall time differs
     assert a == b
     assert a["report"]["used"] + a["report"]["quarantined"] == 96
+
+
+def test_garch_mc_clt_report_is_byte_identical_on_one_and_two_threads(tmp_path, monkeypatch):
+    # several chunks, so two threads each run tiles in their own workspace
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**18)
+    cfg = {
+        "experiment": "clt",
+        "spec": {"model": "garch", "p": 1, "q": 1, "omega": 0.1, "alpha": [0.1], "beta": [0.8],
+                 "innovation": {"kind": "standard_normal"}},
+        "p": 0.5, "r": 2, "n": 1500, "reps": 48, "seed": 5,
+        "truth": {"q_true": 0.0, "f_at_q": 0.4, "mu": 0.0, "m_true": 1.0, "a_r": 0.0},
+        "target": {"g11": 1.6, "g22": 2.0, "g12": 0.0},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rep{threads}.json"
+        assert main(["mc", "--config", str(cfg_path), "--out", str(out), "--threads", threads]) == 0
+        report = json.loads(out.read_text())
+        del report["manifest"]  # wall time differs
+        bodies.append(json.dumps(report, sort_keys=True))
+    assert bodies[0] == bodies[1]
+    assert json.loads(bodies[0])["report"]["used"] == 48
 
 
 def test_mc_bahadur_writes_csv_table(tmp_path):

@@ -352,3 +352,16 @@ def test_approve_is_computed_once_per_spec_and_r(monkeypatch):
     assert second == first and second[1] is not first[1]  # equal reports in a fresh list
     approve(spec, 4)  # another r is checked afresh
     assert calls
+
+
+def test_discrete_law_keeps_the_boundary_note_of_arma_garch_stationarity():
+    garch = dict(model="garch", omega=0.1, alpha=(0.2,), beta=(0.8,))
+    notes = {}
+    for kind in ("standard_normal", "rademacher"):
+        spec = ArmaSpec(phi=(0.5,), innovation=AugGarchSpec(**garch, innovation=InnovationDist(kind)))
+        [stat] = [rep for rep in check_spec(spec, 2) if rep.condition_name == "garch_stationarity"]
+        assert not stat.satisfied
+        notes[kind] = stat.discrepancy_note
+    assert notes["standard_normal"] == "boundary: not satisfied"
+    discrete, boundary = notes["rademacher"].split("; ")
+    assert discrete.startswith("innovation law is discrete") and boundary == "boundary: not satisfied"

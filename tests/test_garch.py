@@ -1,6 +1,13 @@
+import gc
+import threading
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from fclt_lab import scan
+from fclt_lab.arma import ArmaSpec, arma_values_from_innovations
 from fclt_lab.errors import DivergenceError, ParameterError
 from fclt_lab.garch import AugGarchSpec, default_burn_in, garch_values_from_innovations
 from fclt_lab.innovations import InnovationDist
@@ -465,6 +472,54 @@ def test_overwrite_input_peak_memory_is_a_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20 + 6 * 2**20, peak / 2**20  # a 1-MiB tile, its copies and temporaries
+
+
+def _in_a_new_thread(fn):
+    """fn() in a fresh thread, whose tile workspace starts empty and goes when it ends."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_a_repeated_call_reuses_the_thread_workspace():
+    spec = KERNEL_SPECS["garch"]
+
+    def peaks():
+        found = []
+        for _ in range(2):
+            eps = np.random.default_rng(0).standard_normal((256, 1001))
+            tracemalloc.start()
+            try:
+                garch_values_from_innovations(spec, eps, overwrite_input=True)
+                found.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return found
+
+    first, second = _in_a_new_thread(peaks)
+    assert first > 4 * 2**20 and second < 2 * 2**20, (first / 2**20, second / 2**20)
+
+
+@pytest.mark.parametrize("shape", [(256, 10_001), (WIDE_ROWS // 4, 41)])
+def test_workspace_holds_three_tiles_and_goes_with_its_thread(shape):
+    # the block copy, the state tile and the responses: each about a tile plus its m lag rows per block
+    spec = KERNEL_SPECS["garch"]
+    arma = ArmaSpec(phi=(-0.5,), theta=(0.3,))
+    eps = np.random.default_rng(1).standard_normal(shape)
+    span = min(shape[1] - 1, scan.BLOCK)
+
+    def retained():
+        garch_values_from_innovations(spec, eps.copy(), overwrite_input=True)
+        arma_values_from_innovations(arma, eps.copy(), np.zeros((shape[0], 2)), overwrite_input=True)
+        slots = list(scan._WORKSPACE.slots.values())
+        return sum(buf.nbytes for buf in slots), [weakref.ref(buf) for buf in slots]
+
+    held, refs = _in_a_new_thread(retained)
+    assert 0 < len(refs) <= 3 and held <= 3 * scan.TILE_BYTES * (spec.pre_window + span) / span, held / 2**20
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 # --- gamma and the power-family coefficient -------------------------------------

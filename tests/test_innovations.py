@@ -302,3 +302,18 @@ def test_student_t_cdf_ppf_pdf_equal_scipy_stats_bit_for_bit(dof):
         assert _same_bits(dist.cdf(float(x)), stats.t.cdf(float(x) / s, dof))
         assert _same_bits(dist.ppf(float(u)), stats.t.ppf(float(u), dof) * s)
         assert _same_bits(dist.pdf(float(x)), stats.t.pdf(float(x) / s, dof) / s)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_draws_through_out_equal_the_returned_draws(dist):
+    # straight into a row of a larger block as well; the normal law draws there in place
+    for stream in [(3,), (3, 1), (11, 7, 2)]:
+        rows = np.zeros((3, 257))
+        for i, row in enumerate(rows):
+            assert dist.sample(stream_generator(*stream, i), 257, out=row) is row
+        whole = np.full((2, 3, 5), np.nan)
+        dist.sample(stream_generator(*stream), (3, 5), out=whole[1])
+        for i in range(3):
+            assert np.array_equal(rows[i], dist.sample(stream_generator(*stream, i), 257))
+        assert np.array_equal(whole[1], dist.sample(stream_generator(*stream), (3, 5)))
+        assert np.isnan(whole[0]).all()

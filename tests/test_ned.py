@@ -234,7 +234,7 @@ def test_scan_independent_of_threads_and_chunk_size(monkeypatch):
 def test_scan_draws_once_per_outer_sample_and_once_for_the_bank(monkeypatch, k_values):
     calls = []
     sample = InnovationDist.sample
-    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size: calls.append(size) or sample(self, rng, size))
+    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size, out=None: calls.append(size) or sample(self, rng, size, out))
     ned_scan(GARCH11, Functional("abs_pow", 2.0), k_values, redraws=3, samples=5, seed=1)
     assert len(calls) == 5 + 1
 
@@ -292,7 +292,7 @@ def test_scan_over_a_bank_of_several_chunks_matches_the_reference(monkeypatch, s
     monkeypatch.setattr(parallel, "CHUNK_BYTES", 2**15)
     sizes = []
     sample = InnovationDist.sample
-    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size: sizes.append(size) or sample(self, rng, size))
+    monkeypatch.setattr(InnovationDist, "sample", lambda self, rng, size, out=None: sizes.append(size) or sample(self, rng, size, out))
     ks = [3, 0, 5, 3, 1]
     scan = ned_scan(spec, functional, ks, redraws=4, samples=7, seed=(5, 2))
     bank_draws = [size for size in sizes if np.ndim(size) == 1]  # the samples draw 1-d paths

@@ -18,9 +18,12 @@ every integral against the innovation law goes through
 ``InnovationDist.expect``. Only ``rng.py`` names ``SeedSequence`` or
 ``Philox``, and it derives the stream keys itself. Only ``scan.py`` defines
 the block layout and the tile byte budget, and ``garch.py`` and ``arma.py``
-import them from it; it alone defines the one in-block recursion, ``linear_scan``, and its block-end
+import them from it (``garch.py`` also its state tile, ``state_tile``); it
+alone defines the one in-block recursion, ``linear_scan``, and its block-end
 pass, and ``tiles`` takes no unit: it derives one from the path length and
-the recursion's lag count, a property of the spec. Only
+the recursion's lag count, a property of the spec. Neither a GARCH tile nor
+the ARMA filter's tile loop allocates a numpy buffer of its own: the tiles
+work in scan's per-thread workspace. Only
 ``parallel.py`` sizes chunks: it alone defines ``CHUNK_BYTES``, and no other
 module names a chunk size, reads the budget or binds a name for a chunk. The
 chunk budget and the tile budget are the only module-level ``*_BYTES`` names."""
@@ -193,7 +196,31 @@ def test_only_scan_defines_the_block_layout():
             if hits:
                 found[name] = hits
     assert not found
-    assert imported == {"arma.py": _LAYOUT, "garch.py": _LAYOUT}
+    assert imported == {"arma.py": _LAYOUT, "garch.py": _LAYOUT | {"state_tile"}}  # garch's state tile: a slot
+
+
+_ALLOCATORS = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like"}
+
+
+def _allocations(node) -> list[int]:
+    """Lines under ``node`` that call a numpy array allocator by name."""
+    return [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+            and c.func.attr in _ALLOCATORS and isinstance(c.func.value, ast.Name) and c.func.value.id == "np"]
+
+
+def test_recursion_tiles_allocate_no_buffer_outside_the_workspace():
+    # a tile's buffers come from scan's per-thread workspace (lagged_blocks, state_tile), never a fresh np.empty
+    src = os.path.join(ROOT, "src", "fclt_lab")
+    bodies = {}
+    for name, fn in [("garch.py", "_tile"), ("arma.py", "arma_values_from_innovations")]:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == fn]
+        loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+        bodies[name] = func if name == "garch.py" else loops[0]  # the ARMA filter's loop over its tiles
+    assert isinstance(bodies["arma.py"].iter, ast.Call) and bodies["arma.py"].iter.func.id == "tiles"
+    assert {name: _allocations(body) for name, body in bodies.items()} == {"garch.py": [], "arma.py": []}
+    assert _allocations(ast.parse("x = np.empty(3)\ny = np.zeros_like(x)")) == [1, 2]
 
 
 _CHUNK_KNOB = re.compile(r"\bchunk_size\b|\bDEFAULT_CHUNK\b")
