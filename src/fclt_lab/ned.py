@@ -158,11 +158,12 @@ def _last_values(spec, m, start, suffix, eps):
     """X_0 of the paths that run from the Markov states ``start`` over the
     innovations ``suffix`` (broadcast against them). The caller's block
     ``eps`` (..., m + suffix length) takes their innovations, and then their
-    values over them."""
+    values over them; the result is a copy, since the caller reuses ``eps``
+    (``ascontiguousarray`` would return a one-element view as is)."""
     eps[..., :m] = start[..., :m]
     eps[..., m:] = suffix
     values = values_from_innovations(spec, eps, state=start[..., m:], overwrite_input=True)
-    return np.ascontiguousarray(values[..., -1])
+    return values[..., -1].copy()
 
 
 def _scans(spec, functionals, k_values, redraws, samples, seed, threads=1):

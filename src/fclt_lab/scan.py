@@ -26,9 +26,9 @@ of C over the block, and a constant C gives a (span, 1) R. Nothing is
 divided, so a zero or underflowing factor needs no special case, and only the
 block ends pass through a Python loop. The sums run in lag order with
 elementwise ufuncs: a BLAS matmul may round differently by shape. Constant
-coefficients (the AR filter's) give the same R for every block and tile, so
-it is computed once per (C, m, span) in Python floats, with the products and
-sums of the per-step loop in its lag order.
+coefficients (the AR filter's) give the same R for every block, so it is
+computed once per call in Python floats, with the products and sums of the
+per-step loop in its lag order.
 
 Each thread keeps one workspace of three tile buffers, ``threading.local``
 and so dropped when the thread ends: the block-major copy of
@@ -49,7 +49,6 @@ copied out, and a tile's bad-step mask is read before the next tile starts.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -142,7 +141,7 @@ def linear_scan(lam, C, m, B, resume):
     C_rows = [[Cj] * (m + span) if constant else list(Cj) for Cj in C]
     scan = d > 0 and k0 < K
     if scan and constant:  # R[i]: the response to a unit state i + 1 steps before a block, the same for all
-        R = np.array(_constant_responses(tuple(C), m, span))[:, :, None]
+        R = np.array(_constant_responses(C, m, span))[:, :, None]
     elif scan:  # ... and here on lam's rows
         Cr = [rows if k0 == 0 else list(Cj[:, k0 * B :]) for rows, Cj in zip(C_rows, C)]
         R = _slot("responses", (d, m + span, (K - k0) * B))
@@ -170,7 +169,6 @@ def linear_scan(lam, C, m, B, resume):
         lam[:m, :B] = carry
 
 
-@functools.lru_cache(maxsize=64)
 def _constant_responses(C, m, span):
     """R of ``linear_scan`` for the constant coefficients ``C`` as (d, m + span)
     Python floats: the per-step products and sums of its loop, in lag order."""
@@ -182,7 +180,7 @@ def _constant_responses(C, m, span):
             for j in range(2, d + 1):
                 acc = acc + C[j - 1] * Ri[t - j]
             Ri.append(acc)
-    return tuple(map(tuple, R))
+    return R
 
 
 def _per_block(row, n, B):

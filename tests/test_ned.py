@@ -300,6 +300,17 @@ def test_scan_over_a_bank_of_several_chunks_matches_the_reference(monkeypatch, s
     assert scan.to_rows() == reference_scan(spec, functional, ks, 4, 7, (5, 2))
 
 
+@pytest.mark.parametrize("spec", [AR1, GARCH11, ARMA_GARCH], ids=["ar1", "garch", "arma_garch"])
+def test_identity_scan_in_one_row_chunks_matches_the_reference(monkeypatch, spec):
+    # a one-row chunk's base X_0 is a one-element array, and the identity
+    # functional returns it as is: it must not share memory with the coupled
+    # block that every later k writes over
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 1)
+    ks = [3, 0, 5, 3, 1]
+    scan = ned_scan(spec, IDENTITY, ks, redraws=4, samples=7, seed=(5, 2))
+    assert scan.to_rows() == reference_scan(spec, IDENTITY, ks, 4, 7, (5, 2))
+
+
 @pytest.mark.parametrize("kind", ["standard_normal", "student_t", "uniform", "rademacher"])
 def test_draws_split_at_any_row_equal_one_draw(kind):
     # the bank's chunks split its one stream by rows, which must not move a draw
