@@ -6,13 +6,22 @@ about ``max(CHUNK_BYTES, one row)`` whatever the row length. The boundaries
 do not depend on the worker count; each chunk writes into preallocated slots
 keyed by replication index, so results are byte-identical for any number of
 threads.
+
+The worker threads of a thread count outlive the call: one pool per count
+serves every later call, so a worker keeps the tile workspace of ``scan``
+from one call to the next. A task therefore must not itself run chunks on
+more than one thread, which would wait on the pool it occupies.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 CHUNK_BYTES = 2**25
+
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # by thread count, kept for the process
+_POOLS_LOCK = threading.Lock()
 
 
 def run_chunked(total: int, task, row_bytes: int, threads: int = 1):
@@ -29,6 +38,15 @@ def run_chunked(total: int, task, row_bytes: int, threads: int = 1):
         for a, b in ranges:
             task(a, b)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda ab: task(*ab), ranges):
-            pass
+    with _POOLS_LOCK:
+        if threads not in _POOLS:
+            _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
+        pool = _POOLS[threads]
+    futures = [pool.submit(task, a, b) for a, b in ranges]
+    try:
+        for future in futures:
+            future.result()
+    finally:  # a failed chunk cancels the chunks not started, and none runs on past the call
+        for future in futures:
+            future.cancel()
+        wait(futures)

@@ -31,7 +31,8 @@ computed once per call in Python floats, with the products and sums of the
 per-step loop in its lag order.
 
 Each thread keeps one workspace of three tile buffers, ``threading.local``
-and so dropped when the thread ends: the block-major copy of
+and so dropped when the thread ends (the workers of ``parallel.run_chunked``
+outlive their call and keep theirs for the next): the block-major copy of
 ``lagged_blocks`` (``e`` of a GARCH tile, ``buf`` of an ARMA tile), the GARCH
 state tile of ``state_tile``, and the full-width responses R of
 ``linear_scan`` or, for constant coefficients, the block-start products of

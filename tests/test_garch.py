@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fclt_lab import scan
+from fclt_lab import parallel, scan
 from fclt_lab.arma import ArmaSpec, arma_values_from_innovations
 from fclt_lab.errors import DivergenceError, ParameterError
 from fclt_lab.garch import AugGarchSpec, default_burn_in, garch_values_from_innovations
@@ -520,6 +520,21 @@ def test_workspace_holds_three_tiles_and_goes_with_its_thread(shape):
     assert 0 < len(refs) <= 3 and held <= 3 * scan.TILE_BYTES * (spec.pre_window + span) / span, held / 2**20
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_chunk_workers_keep_their_workspace_across_calls():
+    # the pool of a thread count outlives the call, so its two workers build
+    # one block slot each, however many calls and chunks they serve
+    spec, eps = KERNEL_SPECS["garch"], np.random.default_rng(2).standard_normal((8, 300))
+    seen = []
+
+    def task(start, stop):
+        garch_values_from_innovations(spec, eps.copy(), overwrite_input=True)
+        seen.append(scan._WORKSPACE.slots["blocks"])  # held, so no two distinct slots share an id
+
+    for _ in range(4):
+        parallel.run_chunked(4, task, parallel.CHUNK_BYTES, threads=2)
+    assert len(seen) == 16 and len({id(buf) for buf in seen}) <= 2
 
 
 # --- gamma and the power-family coefficient -------------------------------------
